@@ -1,0 +1,113 @@
+package repro.core
+
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.security.MessageDigest
+import java.util.SplittableRandom
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Pins the exact seeded outputs of the sketches and of the unbiased merges:
+  * every bin in `entriesVector` order with its count's bit pattern, plus
+  * `minCount`, `totalWeight` and `size`. Any change to the random draws, their
+  * order, bin placement or merge order changes these strings, so a rewrite of
+  * the update or merge kernels must leave them untouched. Small cases are
+  * spelled out; large ones are compared through a SHA-256 of the same
+  * rendering.
+  */
+class GoldenOutputSpec extends AnyFunSuite {
+
+  private def bits(d: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
+
+  private def render[T](es: Seq[Entry[T]], minCount: Double, total: Double, size: Int): String =
+    es.map(e => s"${e.item}:${bits(e.count)}").mkString(",") +
+      s"|min=${bits(minCount)}|total=${bits(total)}|size=$size"
+
+  private def render[T](s: SpaceSavingBase[T]): String =
+    render(s.entriesVector, s.minCount, s.totalWeight, s.size)
+
+  private def sha(s: String): String =
+    MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
+
+  /** A skewed item id in [0, n): small ids are far more frequent. */
+  private def skewed(r: SplittableRandom, n: Int): Int = (n * math.pow(r.nextDouble(), 4)).toInt
+
+  private def feed(s: SpaceSavingBase[Int], rows: Int, items: Int, seed: Long, weighted: Boolean): Unit = {
+    val r = new SplittableRandom(seed)
+    (0 until rows).foreach { _ =>
+      val x = skewed(r, items)
+      s.update(x, if (weighted) 0.05 + 5 * r.nextDouble() else 1.0)
+    }
+  }
+
+  private def uss(m: Int, seed: Long, rows: Int, items: Int, weighted: Boolean = false): UnbiasedSpaceSaving[Int] = {
+    val s = UnbiasedSpaceSaving[Int](m, seed)
+    feed(s, rows, items, seed + 100, weighted)
+    s
+  }
+
+  test("unit-weight USS bins, minCount and total are pinned exactly") {
+    val s = uss(m = 6, seed = 3, rows = 400, items = 40)
+    assert(s.entriesVector.map(e => s"${e.item}=${e.count}").mkString(" ") ==
+      "0=167.0 22=46.0 29=46.0 6=47.0 10=47.0 37=47.0")
+    assert(s.minCount == 46.0 && s.totalWeight == 400.0 && s.size == 6)
+  }
+
+  test("USS outputs are pinned: unit and weighted rows, small and large m") {
+    assert(sha(render(uss(m = 64, seed = 1, rows = 20000, items = 2000))) == "ba98fe8345603a0c7c1eeb1027c9a7278f972a70f44a96217a60a261aa4d6364")
+    assert(sha(render(uss(m = 37, seed = -5, rows = 20000, items = 500, weighted = true))) == "c47cbc28168058df09ac6b0e8db8dc1f867b9687d036a26c64bed7397d9e8d50")
+    assert(sha(render(uss(m = 4096, seed = 11, rows = 300000, items = 100000))) == "495744a6f32db3204b43983cd9b0fdac7118c35f3cd29beb1d55f304372087f0")
+  }
+
+  test("weighted DSS outputs are pinned") {
+    val s = DeterministicSpaceSaving[Int](50, seed = 7)
+    feed(s, 20000, 800, 77, weighted = true)
+    assert(sha(render(s)) == "79a77305c52aba18fcb64c121127e6a74c640029d6569fa454b10d48f598020b")
+  }
+
+  test("string-keyed USS outputs are pinned") {
+    val s = UnbiasedSpaceSaving[String](40, seed = 9)
+    val r = new SplittableRandom(99)
+    (0 until 20000).foreach(_ => s.update("k" + skewed(r, 1000)))
+    assert(sha(render(s)) == "f954c8457b7a38693c58693c60092c1165aeb9ae54c25c4b0a75278168cb829e")
+  }
+
+  test("pairwise merge output order, counts and total are pinned") {
+    val parts = (0 until 8).map(k => uss(m = 48, seed = 20 + k, rows = 6000, items = 900).summary)
+    val merged = Merge.pairwiseUnbiased(48, 5, parts)
+    assert(sha(render(merged)) == "057ccd1889b5a0dba1f2f8a8614c1fba36fcd25f8985bb572de6c60294d55de9")
+    val big = (0 until 4).map(k => uss(m = 4096, seed = 40 + k, rows = 100000, items = 100000).summary)
+    assert(sha(render(Merge.pairwiseUnbiased(4096, 6, big))) == "4039d37964368bf15a87a31ff242b2776a58adab38f2267ec9ed0bc3dc48be3f")
+  }
+
+  test("priority-sampled merge output is pinned") {
+    val parts = (0 until 8).map(k => uss(m = 48, seed = 60 + k, rows = 6000, items = 900).summary)
+    val merged = Merge.prioritySampled(48, 8, parts)
+    assert(sha(render(merged)) == "88d67b28bff01aee9148b2b9b8b4f46ecff696dd2d5e81a04b2171959a8cf986")
+  }
+
+  test("a sketch rebuilt by fromEntries or a merge keeps ingesting the same way") {
+    val src = uss(m = 30, seed = 12, rows = 5000, items = 300)
+    val rebuilt = UnbiasedSpaceSaving.fromEntries(30, 13, src.entriesVector, src.totalWeight)
+    feed(rebuilt, 5000, 300, 14, weighted = false)
+    assert(sha(render(rebuilt)) == "bad4751ea989b50b3a859c57e994ea0308710409896234f91347f9bc61ef109f")
+
+    val parts = (0 until 4).map(k => uss(m = 30, seed = 15 + k, rows = 3000, items = 300).summary)
+    val merged = Merge.pairwiseUnbiased(30, 19, parts)
+    feed(merged, 5000, 300, 20, weighted = true)
+    assert(sha(render(merged)) == "de814fc342590d72af6a097e4ee8f620b736b863204e2595ea080d493dbcbc72")
+  }
+
+  test("a Java-serialized sketch continues the same stream as the original") {
+    val a = uss(m = 25, seed = 21, rows = 3000, items = 200)
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(a)
+    out.close()
+    val b = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[UnbiasedSpaceSaving[Int]]
+    assert(render(b) == render(a))
+    feed(a, 3000, 200, 22, weighted = true)
+    feed(b, 3000, 200, 22, weighted = true)
+    assert(render(b) == render(a))
+    assert(sha(render(a)) == "ed697aa0c2d64b8cb235cd0d5efffb58a0021dbc68929d32735a4b7e27664bb0")
+  }
+}
