@@ -1,7 +1,6 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.util.Random
 
 /** Merge / size-reduction operations for Space Saving sketches (§5.3, §5.5).
   *
@@ -43,20 +42,30 @@ object Merge {
     */
   def pairwiseUnbiased[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
     val (acc, total) = combine(sketches)
-    val rng = repro.core.Rng(seed)
-    // Min-heap of (count, insertion-tiebreak, item).
-    implicit val ord: Ordering[(Double, Long, T)] = Ordering.by(e => (-e._1, -e._2))
-    val pq = mutable.PriorityQueue.empty[(Double, Long, T)]
-    acc.foreach { case (i, c) => pq.enqueue((c, rng.nextLong(), i)) }
-    while (pq.size > m) {
-      val (c1, _, i1) = pq.dequeue()
-      val (c2, _, i2) = pq.dequeue()
+    val rng = Lcg(seed)
+    // Min-heap of (count, tie-break) keys over ids into `items`; the ties are
+    // drawn in `acc`'s iteration order.
+    val items = new Array[Any](acc.size)
+    val heap = new KeyHeap(acc.size)
+    acc.foreach { case (i, c) =>
+      val id = heap.size
+      items(id) = i
+      heap.push(c, rng.nextLong(), id)
+    }
+    while (heap.size > m) {
+      val c1 = heap.count(0); val i1 = heap.id(0)
+      heap.pop()
+      val c2 = heap.count(0); val i2 = heap.id(0)
       val c = c1 + c2
       val keep = if (rng.nextDouble() < c1 / c) i1 else i2
-      pq.enqueue((c, rng.nextLong(), keep))
+      heap.replaceMin(c, rng.nextLong(), keep)
     }
+    // Survivors in ascending (count, tie-break) order.
     val entries = Vector.newBuilder[Entry[T]]
-    while (pq.nonEmpty) { val (c, _, i) = pq.dequeue(); entries += Entry(i, c) }
+    while (heap.size > 0) {
+      entries += Entry(items(heap.id(0)).asInstanceOf[T], heap.count(0))
+      heap.pop()
+    }
     UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), entries.result(), total)
   }
 
@@ -66,7 +75,7 @@ object Merge {
     */
   def prioritySampled[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
     val (acc, total) = combine(sketches)
-    val rng = repro.core.Rng(seed)
+    val rng = Lcg(seed)
     val entries: Seq[Entry[T]] =
       if (acc.size <= m) acc.iterator.map { case (i, c) => Entry(i, c) }.toVector
       else {

@@ -22,3 +22,35 @@ object Rng {
   /** A Random whose stream is decorrelated from neighbouring seeds. */
   def apply(seed: Long): Random = new Random(scramble(seed))
 }
+
+/** The `nextLong`/`nextDouble` stream of `Rng(seed)` without its overhead:
+  * java.util.Random's 48-bit linear congruential generator held in a plain
+  * `Long`, so a draw is one multiply-add instead of an `AtomicLong`
+  * compare-and-set behind a wrapper. Same seeding, same draws, bit for bit.
+  * Not thread-safe: each sketch or merge owns its own.
+  */
+final class Lcg private (private var state: Long) extends Serializable {
+
+  private def next(bits: Int): Int = {
+    state = (state * Lcg.Multiplier + Lcg.Addend) & Lcg.Mask
+    (state >>> (48 - bits)).toInt
+  }
+
+  /** As `java.util.Random.nextLong`. */
+  def nextLong(): Long = (next(32).toLong << 32) + next(32)
+
+  /** As `java.util.Random.nextDouble`: uniform on [0, 1) with 53 random bits. */
+  def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) * Lcg.DoubleUnit
+}
+
+object Lcg {
+  private final val Multiplier = 0x5deece66dL
+  private final val Addend = 0xbL
+  private final val Mask = (1L << 48) - 1
+  private final val DoubleUnit = 1.0 / (1L << 53)
+
+  /** Seeded exactly as `Rng(seed)`: the scrambled seed, as java.util.Random
+    * initializes it.
+    */
+  def apply(seed: Long): Lcg = new Lcg((Rng.scramble(seed) ^ Multiplier) & Mask)
+}

@@ -1,15 +1,15 @@
 package repro.core
 
-import java.util.{HashMap => JHashMap}
-import scala.util.Random
-
 /** Shared machinery for the two Space Saving variants (Algorithm 1).
   *
   * State is m bins, each an (item, count) pair, plus:
   *
-  *  - a hash index item → bin for O(1) membership,
+  *  - an open-addressing index item → bin over the `labels` array for O(1)
+  *    membership (linear probing, backward-shift deletion, Java
+  *    `hashCode`/`equals`, the null item allowed),
   *  - an indexed binary min-heap over bins keyed by (count, tieBreak) so the
-  *    smallest bin is found in O(1) and updates cost O(log m).
+  *    smallest bin is found in O(1) and updates cost O(log m). The heap holds
+  *    the keys themselves in heap order (`KeyHeap`), so counts live there.
   *
   * The tie-break key is re-randomized every time a bin's count changes, which
   * realizes the paper's assumption (§6.1) that when several bins share the
@@ -25,16 +25,16 @@ import scala.util.Random
 abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializable {
   require(m > 0, s"sketch must have at least one bin, got m=$m")
 
-  protected val rng = repro.core.Rng(seed)
+  private val rng = Lcg(seed)
 
-  protected var occupied = 0
-  protected val counts: Array[Double] = new Array[Double](m)
-  protected val labels: Array[Any]    = new Array[Any](m)
-  private val tieBreak: Array[Long]   = new Array[Long](m)
-  // heap(slot) = bin index; pos(bin) = heap slot
-  private val heap: Array[Int] = new Array[Int](m)
-  private val pos: Array[Int]  = new Array[Int](m)
-  private val index = new JHashMap[T, Int]()
+  private val labels = new Array[AnyRef](m)
+  private val heap = new KeyHeap(m)
+  // Index slots pack (bin + 1) << 32 | hashCode, 0 = empty, so probes and
+  // backward shifts compare hashes without touching the label objects. At
+  // most half full, so probes end. Rebuilt from `labels` after
+  // deserialization rather than shipped.
+  private val indexBits = 32 - Integer.numberOfLeadingZeros(math.max(2 * m - 1, 1))
+  @transient private var index = new Array[Long](1 << indexBits)
   private var totalW = 0.0
 
   /** Probability of overwriting the minimum bin's label when a weight-`w`
@@ -49,21 +49,21 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   def totalWeight: Double = totalW
 
   /** Number of occupied bins (≤ m). */
-  def size: Int = occupied
+  def size: Int = heap.size
 
   /** N̂_min: count of the smallest bin, or 0 while the sketch is not full
     * (conceptually the remaining bins hold count 0).
     */
-  def minCount: Double = if (occupied < m) 0.0 else counts(heap(0))
+  def minCount: Double = if (heap.size < m) 0.0 else heap.count(0)
 
   /** Point estimate for one item: its bin count if it labels a bin, else 0. */
   def estimate(item: T): Double = {
-    val b = index.getOrDefault(item, -1)
-    if (b >= 0) counts(b) else 0.0
+    val b = find(item.asInstanceOf[AnyRef])
+    if (b >= 0) heap.count(heap.slotOf(b)) else 0.0
   }
 
   /** Whether `item` currently labels a bin. */
-  def contains(item: T): Boolean = index.containsKey(item)
+  def contains(item: T): Boolean = find(item.asInstanceOf[AnyRef]) >= 0
 
   /** Process one row: item `item` with positive weight `w` (§5.3 allows any
     * positive real weight; unit-weight streams use w = 1).
@@ -71,31 +71,26 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   def update(item: T, w: Double = 1.0): Unit = {
     require(w > 0, s"weights must be positive, got $w (use SignedMisraGries for deletions)")
     totalW += w
-    val b = index.getOrDefault(item, -1)
+    val x = item.asInstanceOf[AnyRef]
+    val b = find(x)
     if (b >= 0) {
-      counts(b) += w
-      touch(b)
-    } else if (occupied < m) {
+      val s = heap.slotOf(b)
+      heap.rekey(s, heap.count(s) + w, rng.nextLong())
+    } else if (heap.size < m) {
       // Equivalent to incrementing one of the count-0 bins and taking its label.
-      val nb = occupied
-      occupied += 1
-      counts(nb) = w
-      labels(nb) = item
-      index.put(item, nb)
-      heap(nb) = nb
-      pos(nb) = nb
-      tieBreak(nb) = rng.nextLong()
-      siftUp(nb)
+      val nb = heap.size
+      labels(nb) = x
+      insert(x, nb)
+      heap.push(w, rng.nextLong(), nb)
     } else {
-      val mb = heap(0)
-      val nmin = counts(mb)
-      counts(mb) = nmin + w
+      val mb = heap.id(0)
+      val nmin = heap.count(0)
       if (rng.nextDouble() < replaceProb(nmin, w)) {
-        index.remove(labels(mb).asInstanceOf[T])
-        labels(mb) = item
-        index.put(item, mb)
+        remove(mb)
+        labels(mb) = x
+        insert(x, mb)
       }
-      touch(mb)
+      heap.rekey(0, nmin + w, rng.nextLong())
     }
   }
 
@@ -105,50 +100,68 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   /** Snapshot the sketch state for querying. */
   def summary: SketchSummary[T] = SketchSummary(entriesVector, minCount, totalW, m)
 
-  /** Current bins as entries (unordered). */
+  /** Current bins as entries, in bin order. */
   def entriesVector: Vector[Entry[T]] =
-    (0 until occupied).iterator.map(b => Entry(labels(b).asInstanceOf[T], counts(b))).toVector
+    (0 until heap.size).iterator
+      .map(b => Entry(labels(b).asInstanceOf[T], heap.count(heap.slotOf(b)))).toVector
 
-  // ---- heap internals -------------------------------------------------------
+  // ---- index internals ------------------------------------------------------
 
-  private def less(a: Int, b: Int): Boolean =
-    counts(a) < counts(b) || (counts(a) == counts(b) && tieBreak(a) < tieBreak(b))
+  private def hashOf(x: AnyRef): Int = if (x eq null) 0 else x.hashCode
 
-  /** A bin's count changed: refresh its tie-break and restore heap order. */
-  private def touch(bin: Int): Unit = {
-    tieBreak(bin) = rng.nextLong()
-    val slot = pos(bin)
-    siftDown(slot)
-    siftUp(pos(bin))
-  }
+  private def home(h: Int): Int = (h * 0x9e3779b9) >>> (32 - indexBits)
 
-  private def swap(i: Int, j: Int): Unit = {
-    val bi = heap(i); val bj = heap(j)
-    heap(i) = bj; heap(j) = bi
-    pos(bj) = i; pos(bi) = j
-  }
-
-  private def siftUp(slot0: Int): Unit = {
-    var s = slot0
-    while (s > 0 && less(heap(s), heap((s - 1) / 2))) {
-      swap(s, (s - 1) / 2)
-      s = (s - 1) / 2
+  /** Bin labelled `x`, or -1. */
+  private def find(x: AnyRef): Int = {
+    val h = hashOf(x)
+    val mask = index.length - 1
+    var i = home(h)
+    var e = index(i)
+    while (e != 0L && !(e.toInt == h && sameItem(x, labels((e >>> 32).toInt - 1)))) {
+      i = (i + 1) & mask
+      e = index(i)
     }
+    (e >>> 32).toInt - 1
   }
 
-  private def siftDown(slot0: Int): Unit = {
-    var s = slot0
-    var done = false
-    while (!done) {
-      val l = 2 * s + 1
-      val r = 2 * s + 2
-      var sm = s
-      if (l < occupied && less(heap(l), heap(sm))) sm = l
-      if (r < occupied && less(heap(r), heap(sm))) sm = r
-      if (sm == s) done = true
-      else { swap(s, sm); s = sm }
-    }
+  private def sameItem(x: AnyRef, label: AnyRef): Boolean =
+    (x eq label) || ((x ne null) && x.equals(label))
+
+  private def insert(x: AnyRef, bin: Int): Unit = {
+    val h = hashOf(x)
+    val mask = index.length - 1
+    var i = home(h)
+    while (index(i) != 0L) i = (i + 1) & mask
+    index(i) = (bin + 1).toLong << 32 | (h & 0xffffffffL)
   }
+
+  /** Drop bin `bin`'s label from the index, shifting later entries of its
+    * probe run back so every remaining label stays reachable from its home.
+    */
+  private def remove(bin: Int): Unit = {
+    val mask = index.length - 1
+    var hole = home(hashOf(labels(bin)))
+    while ((index(hole) >>> 32).toInt != bin + 1) hole = (hole + 1) & mask
+    var j = (hole + 1) & mask
+    while (index(j) != 0L) {
+      val h = home(index(j).toInt)
+      if (((j - h) & mask) >= ((j - hole) & mask)) {
+        index(hole) = index(j)
+        hole = j
+      }
+      j = (j + 1) & mask
+    }
+    index(hole) = 0L
+  }
+
+  private def readObject(in: java.io.ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    index = new Array[Long](1 << indexBits)
+    var b = 0
+    while (b < heap.size) { insert(labels(b), b); b += 1 }
+  }
+
+  // ---- bulk operations ------------------------------------------------------
 
   /** Multiply every count (and the running total) by a positive factor.
     * Order among bins is preserved, so the heap stays valid. Used by the
@@ -157,8 +170,8 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     */
   protected[core] def scaleAll(f: Double): Unit = {
     require(f > 0, s"scale factor must be positive, got $f")
-    var b = 0
-    while (b < occupied) { counts(b) *= f; b += 1 }
+    var s = 0
+    while (s < heap.size) { heap.count(s) *= f; s += 1 }
     totalW *= f
   }
 
@@ -168,21 +181,91 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     * sketches' totals).
     */
   protected[core] def load(entries: Seq[Entry[T]], total: Double): Unit = {
-    require(occupied == 0, "load requires an empty sketch")
+    require(heap.size == 0, "load requires an empty sketch")
     require(entries.size <= m, s"cannot load ${entries.size} entries into $m bins")
     entries.foreach { e =>
       require(e.count > 0, s"entry counts must be positive, got $e")
-      val nb = occupied
-      occupied += 1
-      counts(nb) = e.count
-      labels(nb) = e.item
-      require(!index.containsKey(e.item), s"duplicate item ${e.item} in load")
-      index.put(e.item, nb)
-      heap(nb) = nb
-      pos(nb) = nb
-      tieBreak(nb) = rng.nextLong()
-      siftUp(nb)
+      val x = e.item.asInstanceOf[AnyRef]
+      require(find(x) < 0, s"duplicate item ${e.item} in load")
+      val nb = heap.size
+      labels(nb) = x
+      insert(x, nb)
+      heap.push(e.count, rng.nextLong(), nb)
     }
     totalW = total
+  }
+}
+
+/** Binary min-heap of (count, tie) keys, each carrying an int id in
+  * [0, capacity). Keys sit inline in heap order, so comparisons read two
+  * parallel arrays instead of following a bin index; `slotOf(id)` is where an
+  * id currently sits. Sifts move a hole instead of swapping, with the same
+  * comparisons as a swap-based sift, so the heap shape is that of the
+  * textbook version step for step.
+  */
+private[core] final class KeyHeap(capacity: Int) extends Serializable {
+  val count = new Array[Double](capacity)
+  val tie = new Array[Long](capacity)
+  val id = new Array[Int](capacity)
+  val slotOf = new Array[Int](capacity)
+  var size = 0
+
+  private def less(c1: Double, t1: Long, c2: Double, t2: Long): Boolean =
+    c1 < c2 || (c1 == c2 && t1 < t2)
+
+  def push(c: Double, t: Long, i: Int): Unit = {
+    val s = size
+    size += 1
+    siftUp(s, c, t, i)
+  }
+
+  /** Give the key at slot `s` the new key (c, t) and restore heap order. */
+  def rekey(s: Int, c: Double, t: Long): Unit = {
+    val i = id(s)
+    if (siftDown(s, c, t, i) == s) siftUp(s, c, t, i)
+  }
+
+  /** Replace the minimum with (c, t, i). */
+  def replaceMin(c: Double, t: Long, i: Int): Unit = siftDown(0, c, t, i)
+
+  /** Remove the minimum. */
+  def pop(): Unit = {
+    size -= 1
+    if (size > 0) siftDown(0, count(size), tie(size), id(size))
+  }
+
+  private def place(s: Int, c: Double, t: Long, i: Int): Unit = {
+    count(s) = c; tie(s) = t; id(s) = i; slotOf(i) = s
+  }
+
+  /** Sift (c, t, i) down from the hole at `s0`; returns its final slot. */
+  private def siftDown(s0: Int, c: Double, t: Long, i: Int): Int = {
+    var s = s0
+    var done = false
+    while (!done) {
+      val l = 2 * s + 1
+      val r = l + 1
+      var sm = -1
+      var mc = c
+      var mt = t
+      if (l < size && less(count(l), tie(l), mc, mt)) { sm = l; mc = count(l); mt = tie(l) }
+      if (r < size && less(count(r), tie(r), mc, mt)) { sm = r; mc = count(r); mt = tie(r) }
+      if (sm < 0) done = true
+      else { place(s, mc, mt, id(sm)); s = sm }
+    }
+    place(s, c, t, i)
+    s
+  }
+
+  /** Sift (c, t, i) up from the hole at `s0`. */
+  private def siftUp(s0: Int, c: Double, t: Long, i: Int): Unit = {
+    var s = s0
+    var p = (s - 1) / 2
+    while (s > 0 && less(c, t, count(p), tie(p))) {
+      place(s, count(p), tie(p), id(p))
+      s = p
+      p = (s - 1) / 2
+    }
+    place(s, c, t, i)
   }
 }

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Encoder, Encoders}
 import org.apache.spark.sql.expressions.Aggregator
-import repro.core.{Entry, Merge, SketchSummary, UnbiasedSpaceSaving}
+import repro.core.{Entry, Merge, Rng, SketchSummary, UnbiasedSpaceSaving}
 
 /** One input row of the disaggregated stream: an item key and a positive
   * weight (1.0 for plain counting).
@@ -39,19 +39,12 @@ final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = 
 
   @transient private lazy val counter = new java.util.concurrent.atomic.AtomicInteger()
 
-  private def scramble(z0: Long): Long = {
-    var z = z0 + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   override def zero: UnbiasedSpaceSaving[String] = {
     val s =
       if (deterministic) seed
       else {
         val pid = Option(TaskContext.get()).map(_.partitionId()).getOrElse(-1)
-        scramble(seed ^ (pid.toLong << 32) ^ counter.getAndIncrement().toLong)
+        Rng.scramble(seed ^ (pid.toLong << 32) ^ counter.getAndIncrement().toLong)
       }
     new UnbiasedSpaceSaving[String](m, s)
   }
@@ -64,7 +57,7 @@ final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = 
   override def merge(b1: UnbiasedSpaceSaving[String], b2: UnbiasedSpaceSaving[String]): UnbiasedSpaceSaving[String] = {
     // Exactness fast path: if the union fits in m bins no reduction happens
     // and the merge is lossless either way.
-    Merge.pairwiseUnbiased(m, scramble(b1.seed ^ b2.seed), Seq(b1.summary, b2.summary))
+    Merge.pairwiseUnbiased(m, Rng.scramble(b1.seed ^ b2.seed), Seq(b1.summary, b2.summary))
   }
 
   override def finish(b: UnbiasedSpaceSaving[String]): SketchResultRow = {
@@ -72,9 +65,10 @@ final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = 
     SketchResultRow(es, b.minCount, b.totalWeight)
   }
 
-  // Java serialization: the sketch graph (arrays + java.util.HashMap +
-  // scala.util.Random) is fully Serializable, and unlike Kryo's field
-  // reflection it needs no --add-opens into java.base on JDK 17+.
+  // Java serialization: the sketch (primitive arrays, labels and the RNG
+  // state; the item index is rebuilt on read) is fully Serializable, and
+  // unlike Kryo's field reflection it needs no --add-opens into java.base on
+  // JDK 17+.
   override def bufferEncoder: Encoder[UnbiasedSpaceSaving[String]] =
     Encoders.javaSerialization[UnbiasedSpaceSaving[String]]
 

@@ -63,6 +63,96 @@ class RngSpec extends AnyFunSuite {
     val varSum = draws.map(d => (d - mean) * (d - mean)).sum
     assert(math.abs(corrNum / varSum) < 0.05)
   }
+
+  test("Lcg draws match Rng(seed) bit for bit on interleaved nextLong/nextDouble") {
+    def mismatch(seed: Long, draws: Int): Option[String] = {
+      val ref = Rng(seed)
+      val lcg = Lcg(seed)
+      val pick = new java.util.SplittableRandom(seed ^ 0x5eedL)
+      (0 until draws).iterator.map { k =>
+        if (pick.nextBoolean()) {
+          val (a, b) = (lcg.nextLong(), ref.nextLong())
+          if (a != b) Some(s"seed $seed draw $k nextLong $a != $b") else None
+        } else {
+          val (a, b) = (lcg.nextDouble(), ref.nextDouble())
+          if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
+            Some(s"seed $seed draw $k nextDouble $a != $b")
+          else None
+        }
+      }.collectFirst { case Some(msg) => msg }
+    }
+    Seq(0L, -1L, Long.MinValue, Long.MaxValue, 42L).foreach { seed =>
+      val miss = mismatch(seed, 1000000)
+      assert(miss.isEmpty, miss.getOrElse(""))
+    }
+    (1L to 1000L).foreach { seed =>
+      val miss = mismatch(seed, 1000)
+      assert(miss.isEmpty, miss.getOrElse(""))
+    }
+  }
+}
+
+/** A key whose hashCode is constant, so every label shares one probe run. */
+final case class Collide(k: Int) {
+  override def hashCode: Int = 7
+}
+
+/** The item index under label churn: after every update, `contains` and
+  * `estimate` agree with `entriesVector`, and a label evicted by a replacement
+  * is no longer found.
+  */
+class LabelIndexSpec extends AnyFunSuite {
+
+  private def churn(s: SpaceSavingBase[AnyRef], updates: Int, seed: Long): Int = {
+    val r = new java.util.SplittableRandom(seed)
+    def key(): AnyRef = r.nextInt(3) match {
+      case 0 => Collide(r.nextInt(25))
+      case 1 => if (r.nextInt(10) == 0) null else "s" + r.nextInt(25)
+      case _ => Integer.valueOf(r.nextInt(25))
+    }
+    var replacements = 0
+    var before = s.entriesVector
+    (0 until updates).foreach { k =>
+      val x = key()
+      s.update(x, if (k % 3 == 0) 0.5 + r.nextDouble() else 1.0)
+      val after = s.entriesVector
+      val changed = before.indices.filterNot(b => java.util.Objects.equals(before(b).item, after(b).item))
+      assert(changed.size <= 1, s"update $k relabelled ${changed.size} bins")
+      changed.foreach { b =>
+        replacements += 1
+        val evicted = before(b).item
+        assert(java.util.Objects.equals(after(b).item, x), s"update $k: bin $b relabelled to another item")
+        assert(!s.contains(evicted) && s.estimate(evicted) == 0.0, s"update $k: evicted $evicted still found")
+      }
+      after.foreach { e =>
+        assert(s.contains(e.item) && s.estimate(e.item) == e.count, s"update $k: ${e.item} out of sync")
+      }
+      assert(s.contains(x) == after.exists(e => java.util.Objects.equals(e.item, x)))
+      before = after
+    }
+    replacements
+  }
+
+  test("colliding, null and String keys stay findable through DSS churn") {
+    val n = churn(DeterministicSpaceSaving[AnyRef](6, seed = 1), 100000, seed = 1)
+    assert(n > 10000, s"only $n replacements")
+  }
+
+  test("colliding, null and String keys stay findable through USS churn") {
+    // USS replaces with probability w / (N̂_min + w), so restart often to keep
+    // N̂_min small and replacements frequent.
+    val n = (0 until 100).map(k => churn(UnbiasedSpaceSaving[AnyRef](5, seed = k), 1000, seed = k)).sum
+    assert(n > 1000, s"only $n replacements")
+  }
+
+  test("items are matched with Java equals, not Scala cooperative equality") {
+    val s = UnbiasedSpaceSaving[Any](4, seed = 3)
+    s.update(1)
+    s.update(1L)
+    s.update(1.0)
+    assert(s.size == 3)
+    assert(s.estimate(1) == 1.0 && s.estimate(1L) == 1.0 && s.estimate(2) == 0.0)
+  }
 }
 
 class TabSpec extends AnyFunSuite {
