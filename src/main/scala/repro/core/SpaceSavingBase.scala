@@ -33,7 +33,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   // backward shifts compare hashes without touching the label objects. At
   // most half full, so probes end. Rebuilt from `labels` after
   // deserialization rather than shipped.
-  private val indexBits = 32 - Integer.numberOfLeadingZeros(math.max(2 * m - 1, 1))
+  private val indexBits = 32 - Integer.numberOfLeadingZeros(2 * m - 1)
   @transient private var index = new Array[Long](1 << indexBits)
   private var totalW = 0.0
 
@@ -205,7 +205,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   */
 private[core] final class KeyHeap(capacity: Int) extends Serializable {
   val count = new Array[Double](capacity)
-  val tie = new Array[Long](capacity)
+  private val tie = new Array[Long](capacity)
   val id = new Array[Int](capacity)
   val slotOf = new Array[Int](capacity)
   var size = 0
