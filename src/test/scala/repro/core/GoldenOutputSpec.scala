@@ -4,6 +4,8 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, 
 import java.security.MessageDigest
 import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.Streams
+import repro.sampling.{BottomK, BottomKSample}
 
 /** Pins the exact seeded outputs of the sketches and of the unbiased merges:
   * every bin in `entriesVector` order with its count's bit pattern, plus
@@ -11,7 +13,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * order, bin placement or merge order changes these strings, so a rewrite of
   * the update or merge kernels must leave them untouched. Small cases are
   * spelled out; large ones are compared through a SHA-256 of the same
-  * rendering.
+  * rendering. Bottom-k samples are pinned the same way, with the bits of τ,
+  * since their per-item hash decides which items are kept.
   */
 class GoldenOutputSpec extends AnyFunSuite {
 
@@ -109,5 +112,24 @@ class GoldenOutputSpec extends AnyFunSuite {
     feed(b, 3000, 200, 22, weighted = true)
     assert(render(b) == render(a))
     assert(sha(render(a)) == "ed697aa0c2d64b8cb235cd0d5efffb58a0021dbc68929d32735a4b7e27664bb0")
+  }
+
+  private def render[T](b: BottomKSample[T]): String =
+    b.entries.map(e => s"${e.item}:${bits(e.count)}").mkString(",") + s"|tau=${bits(b.tau)}"
+
+  test("seeded bottom-k samples over a Weibull stream are pinned") {
+    val stream = Streams.expand(Streams.weibullCounts(3000, 0.3, scale = 20.0), Streams.Order.Permuted, 31)
+    val ints = BottomK[Int](40, seed = 32)
+    stream.foreach(ints.update(_))
+    assert(sha(render(ints.result)) == "bbe48a4b64ce77ae2da9c3cca126b0ab329b433b71998db4fb1a0a22059cdf5b")
+
+    val strs = BottomK[String](25, seed = -33)
+    val r = new SplittableRandom(34)
+    stream.foreach(x => strs.update("w" + x, 0.05 + 5 * r.nextDouble()))
+    assert(sha(render(strs.result)) == "f6b1c8892e7c1d7ee01dfc728dda2b2a74234527812bbc3e102e762ef269929c")
+
+    val small = BottomK[Int](5, seed = 35)
+    stream.take(2000).foreach(small.update(_))
+    assert(render(small.result) == "2738:4000000000000000,2386:3ff0000000000000,2789:3ff0000000000000,2950:4020000000000000,2186:3ff0000000000000|tau=3f91b06074589f80")
   }
 }
