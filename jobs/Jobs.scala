@@ -1,9 +1,9 @@
 package repro.jobs
 
-import repro.exp._
 import repro.spark.LocalSpark
 
-/** spark-submit entrypoints, one per reproduced table (DESIGN.md §3).
+/** spark-submit entrypoints, one per reproduced table (DESIGN.md §3); T7 and
+  * T8 come from one simulation, so `E7Variance` prints both.
   * Pure-JVM experiments still go through spark-submit for uniformity; the
   * two Spark-native ones (T5, T10) build a local session.
   *
@@ -39,13 +39,7 @@ object E6Pathological {
 object E7Variance {
   def main(args: Array[String]): Unit = {
     val rep = repro.exp.E7Variance.run()
-    println(rep.varianceTable)
-  }
-}
-
-object E8SortedEpochs {
-  def main(args: Array[String]): Unit = {
-    val rep = repro.exp.E7Variance.run()
+    println(rep.varianceTable); println()
     println(rep.errorTable)
   }
 }

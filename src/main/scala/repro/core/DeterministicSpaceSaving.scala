@@ -14,14 +14,11 @@ final class DeterministicSpaceSaving[T](m: Int, seed: Long) extends SpaceSavingB
   /** The §5.2 isomorphism: the Misra-Gries estimate is the Space Saving
     * estimate soft-thresholded by N̂_min.
     */
-  def misraGriesEstimate(item: T): Double = math.max(0.0, estimate(item) - minCount)
+  def misraGriesEstimate(item: T): Double = Merge.softThreshold(estimate(item), minCount)
 
   /** Misra-Gries view of the whole sketch (drops bins thresholded to 0). */
-  def misraGriesSummary: SketchSummary[T] = {
-    val thr = minCount
-    val es = entriesVector.collect { case Entry(i, c) if c - thr > 0 => Entry(i, c - thr) }
-    SketchSummary(es, 0.0, totalWeight, m)
-  }
+  def misraGriesSummary: SketchSummary[T] =
+    SketchSummary(Merge.softThreshold(entriesVector.iterator, minCount), 0.0, totalWeight, m)
 }
 
 object DeterministicSpaceSaving {

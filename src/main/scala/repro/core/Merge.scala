@@ -94,12 +94,19 @@ object Merge {
     */
   def misraGries[T](m: Int, sketches: Seq[SketchSummary[T]]): SketchSummary[T] = {
     val (acc, total) = combine(sketches)
-    val entries =
-      if (acc.size <= m) acc.iterator.map { case (i, c) => Entry(i, c) }.toVector
-      else {
-        val theta = acc.valuesIterator.toArray.sortBy(-_).apply(m)
-        acc.iterator.collect { case (i, c) if c - theta > 0 => Entry(i, c - theta) }.toVector
-      }
-    SketchSummary(entries, 0.0, total, m)
+    val theta = if (acc.size <= m) 0.0 else acc.valuesIterator.toArray.sortBy(-_).apply(m)
+    SketchSummary(softThreshold(acc.iterator.map { case (i, c) => Entry(i, c) }, theta), 0.0, total, m)
   }
+
+  /** The Misra-Gries soft threshold (c − θ)₊: the §5.2 isomorphism maps a
+    * Space Saving count to its Misra-Gries counter with θ = N̂_min, and the
+    * merge above uses θ = the (m+1)-th largest combined count.
+    */
+  def softThreshold(c: Double, theta: Double): Double = math.max(0.0, c - theta)
+
+  /** `softThreshold` applied to every bin, dropping the bins it zeroes; the
+    * bins keep their order.
+    */
+  def softThreshold[T](bins: Iterator[Entry[T]], theta: Double): Vector[Entry[T]] =
+    bins.map(e => Entry(e.item, softThreshold(e.count, theta))).filter(_.count > 0).toVector
 }

@@ -11,13 +11,18 @@ import scala.util.Random
   */
 object Rng {
 
-  /** splitmix64 finalizer — bijective, avalanching. */
-  def scramble(seed: Long): Long = {
-    var z = seed + 0x9e3779b97f4a7c15L
+  /** The splitmix64 finalizer — bijective, avalanching. The one hash
+    * primitive: seeds and per-item hashes both go through it.
+    */
+  def mix64(z0: Long): Long = {
+    var z = z0
     z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
     z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
     z ^ (z >>> 31)
   }
+
+  /** One splitmix64 step from `seed`: golden-gamma increment, then `mix64`. */
+  def scramble(seed: Long): Long = mix64(seed + 0x9e3779b97f4a7c15L)
 
   /** A Random whose stream is decorrelated from neighbouring seeds. */
   def apply(seed: Long): Random = new Random(scramble(seed))

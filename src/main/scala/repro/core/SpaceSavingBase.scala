@@ -69,7 +69,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     * positive real weight; unit-weight streams use w = 1).
     */
   def update(item: T, w: Double = 1.0): Unit = {
-    require(w > 0, s"weights must be positive, got $w (use SignedMisraGries for deletions)")
+    require(w > 0, s"weights must be positive, got $w")
     totalW += w
     val x = item.asInstanceOf[AnyRef]
     val b = find(x)

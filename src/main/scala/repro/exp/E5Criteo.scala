@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.sampling.PrioritySampling

@@ -35,7 +35,6 @@ object E6Pathological {
   def run(nItemsPerHalf: Int = 1000, shape: Double = 0.3, targetTotalPerHalf: Long = 150_000L,
           m: Int = 100, subsetSize: Int = 100, nSubsets: Int = 20, reps: Int = 200,
           seed: Long = 67): Report = {
-    val nItems = 2 * nItemsPerHalf
     // Both halves draw from the same count distribution; item ids
     // [0, nItemsPerHalf) occur only in the first half of the stream.
     val half = Exp.scaledWeibullCounts(nItemsPerHalf, shape, targetTotalPerHalf)

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.{Entry, Estimate}
+import repro.core.{Entry, Estimate, Rng}
 import scala.collection.immutable.TreeMap
 
 /** Bottom-k sketch (Cohen & Kaplan 2007) with uniform per-item hashes —
@@ -30,10 +30,7 @@ final class BottomK[T](val k: Int, seed: Long) extends Serializable {
     * hash code mixed with the sketch seed — O(1) memory, stable per item.
     */
   private def hashOf(item: T): Double = {
-    var z = (item.## & 0xffffffffL) ^ (seed * 0x9e3779b97f4a7c15L)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z = z ^ (z >>> 31)
+    val z = Rng.mix64((item.## & 0xffffffffL) ^ (seed * 0x9e3779b97f4a7c15L))
     math.max((z >>> 11).toDouble / (1L << 53).toDouble, Double.MinPositiveValue)
   }
 

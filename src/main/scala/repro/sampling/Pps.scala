@@ -1,7 +1,6 @@
 package repro.sampling
 
-import repro.core.{Entry, Estimate}
-import scala.util.Random
+import repro.core.Entry
 
 /** Probability-proportional-to-size sampling utilities (§5.1).
   *
@@ -10,10 +9,8 @@ import scala.util.Random
   *    These are the theoretical curves of figure 2.
   *  - `poissonSample`: independent Bernoulli(π_i) draws with HT adjustment,
   *    plus the closed-form variance Σ w_i²(1−π_i)/π_i used as the PPS
-  *    reference line in figure 9.
-  *  - `systematicSample`: fixed-size PPS with exact marginals π via
-  *    systematic sampling on a randomly permuted order — a member of the
-  *    Deville–Tillé (1998) splitting family referenced in §5.1/§5.5.
+  *    reference line in figure 9; the sampler is the Monte Carlo check of
+  *    that closed form.
   */
 object Pps {
 
@@ -43,13 +40,6 @@ object Pps {
     pis
   }
 
-  /** The threshold α itself (π_i = min(1, α·w_i)). */
-  def alpha(weights: Seq[Double], k: Int): Double = {
-    val pis = inclusionProbabilities(weights, k)
-    val i = pis.indexWhere(_ < 1.0)
-    if (i < 0) Double.PositiveInfinity else pis(i) / weights(i)
-  }
-
   /** Poisson (independent Bernoulli) PPS sample with HT-adjusted weights. */
   def poissonSample[T](items: Seq[(T, Double)], k: Int, seed: Long): Vector[Entry[T]] = {
     val pis = inclusionProbabilities(items.map(_._2), k)
@@ -67,34 +57,5 @@ object Pps {
     items.iterator.zipWithIndex.collect { case ((i, w), j) if pred(i) =>
       w * w * (1 - pis(j)) / pis(j)
     }.sum
-  }
-
-  /** Fixed-size PPS sample (exactly k items) with exact marginals π_i, via
-    * systematic sampling over a uniformly random item order.
-    */
-  def systematicSample[T](items: Seq[(T, Double)], k: Int, seed: Long): Vector[Entry[T]] = {
-    val rng = repro.core.Rng(seed)
-    val perm = rng.shuffle(items.toVector)
-    val pis = inclusionProbabilities(perm.map(_._2), k)
-    val u = rng.nextDouble()
-    val out = Vector.newBuilder[Entry[T]]
-    var cum = 0.0
-    var nextTick = u
-    for (((item, w), j) <- perm.zipWithIndex) {
-      val hi = cum + pis(j)
-      while (nextTick < hi) {
-        out += Entry(item, w / pis(j))
-        nextTick += 1.0
-      }
-      cum = hi
-    }
-    out.result()
-  }
-
-  /** Subset-sum estimate from any HT-adjusted entry set. */
-  def subsetSum[T](entries: Seq[Entry[T]])(pred: T => Boolean): Estimate = {
-    var s = 0.0
-    entries.foreach(e => if (pred(e.item)) s += e.count)
-    Estimate(s, 0.0)
   }
 }

@@ -1,7 +1,6 @@
 package repro.sampling
 
 import repro.core.Estimate
-import scala.util.Random
 
 /** One sampled item: its original weight and its Horvitz-Thompson adjusted
   * weight `max(weight, 1/τ)`.

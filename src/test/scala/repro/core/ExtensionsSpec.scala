@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
 
 class ForwardDecaySketchSpec extends AnyFunSuite {
 
@@ -60,58 +59,5 @@ class ForwardDecaySketchSpec extends AnyFunSuite {
     val fd = new ForwardDecaySketch[Int](m = 5, lambda = 0.01, seed = 5)
     (0 until 500).foreach(i => fd.update(i, i.toDouble))
     assert(fd.size <= 5)
-  }
-}
-
-class SignedMisraGriesSpec extends AnyFunSuite {
-
-  test("exact net weights when items fit") {
-    val s = SignedMisraGries[String](5)
-    s.update("a", 5.0); s.update("b", -3.0); s.update("a", 2.0); s.update("b", 1.0)
-    assert(s.estimate("a") == 7.0)
-    assert(s.estimate("b") == -2.0)
-    assert(s.netWeight == 5.0)
-  }
-
-  test("an exact cancellation removes the counter") {
-    val s = SignedMisraGries[String](5)
-    s.update("a", 4.0); s.update("a", -4.0)
-    assert(!s.contains("a"))
-    assert(s.estimate("a") == 0.0)
-  }
-
-  test("capacity bound holds under churn") {
-    val s = SignedMisraGries[Int](10)
-    val rng = new Random(1)
-    (0 until 5000).foreach { _ =>
-      s.update(rng.nextInt(500), if (rng.nextBoolean()) 1.0 else -1.0)
-    }
-    assert(s.size <= 10)
-  }
-
-  test("two-sided shrink never grows magnitudes beyond the true net in the skewed regime") {
-    val s = SignedMisraGries[Int](8)
-    val rng = new Random(2)
-    // Item 0: strong positive signal; item 1: strong negative; noise on others.
-    var net0 = 0.0; var net1 = 0.0
-    (0 until 3000).foreach { k =>
-      s.update(0, 2.0); net0 += 2.0
-      s.update(1, -2.0); net1 -= 2.0
-      s.update(2 + rng.nextInt(300), if (rng.nextBoolean()) 1.0 else -1.0)
-    }
-    assert(s.contains(0) && s.contains(1), "dominant signed items must survive")
-    assert(s.estimate(0) > 0 && s.estimate(0) <= net0 + 1e-9)
-    assert(s.estimate(1) < 0 && s.estimate(1) >= net1 - 1e-9)
-  }
-
-  test("zero-weight updates are rejected") {
-    val s = SignedMisraGries[Int](3)
-    assertThrows[IllegalArgumentException](s.update(1, 0.0))
-  }
-
-  test("deletions of an absent item create a negative counter") {
-    val s = SignedMisraGries[String](3)
-    s.update("gone", -5.0)
-    assert(s.estimate("gone") == -5.0)
   }
 }

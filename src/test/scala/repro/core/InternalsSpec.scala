@@ -194,14 +194,10 @@ class FrequentItemsSpec extends AnyFunSuite {
 
     val uss = UnbiasedSpaceSaving[Int](60, seed = 5)
     val dss = DeterministicSpaceSaving[Int](60, seed = 5)
-    val mg = MisraGries[Int](60)
-    val lc = LossyCounting[Int](60)
-    stream.foreach { x => uss.update(x); dss.update(x); mg.update(x); lc.update(x) }
+    stream.foreach { x => uss.update(x); dss.update(x) }
 
     assert(uss.summary.topK(5).map(_.item).toSet == top5, "USS top-5")
     assert(dss.summary.topK(5).map(_.item).toSet == top5, "DSS top-5")
-    assert(mg.summary.topK(5).map(_.item).toSet == top5, "MG top-5")
-    assert(lc.summary.topK(5).map(_.item).toSet == top5, "LC top-5")
   }
 
   test("USS frequent-item counts are near-exact for the head of the distribution") {

@@ -38,14 +38,6 @@ class PpsSpec extends AnyFunSuite {
     assert(math.abs(pis(0) - 0.5) < 1e-12 && math.abs(pis(1) - 0.5) < 1e-12)
   }
 
-  test("alpha matches the sub-certainty ratio") {
-    val pis = Pps.inclusionProbabilities(weights, 10)
-    val a = Pps.alpha(weights, 10)
-    weights.indices.foreach { i =>
-      assert(math.abs(pis(i) - math.min(1.0, a * weights(i))) < 1e-9)
-    }
-  }
-
   test("poisson sample: expected size equals k (Monte Carlo)") {
     val items = weights.zipWithIndex.map { case (w, i) => (i, w) }
     val reps = 2000
@@ -59,7 +51,7 @@ class PpsSpec extends AnyFunSuite {
     val truth = items.collect { case (i, w) if subset(i) => w }.sum
     val reps = 3000
     val ests = (0 until reps).map { r =>
-      Pps.subsetSum(Pps.poissonSample(items, 15, seed = 500 + r))(subset.contains).value
+      Pps.poissonSample(items, 15, seed = 500 + r).collect { case e if subset(e.item) => e.count }.sum
     }
     assertUnbiased(ests, truth, z = 4.5, label = "poisson subset")
   }
@@ -69,44 +61,11 @@ class PpsSpec extends AnyFunSuite {
     val subset = (0 until 50 by 2).toSet
     val reps = 4000
     val ests = (0 until reps).map { r =>
-      Pps.subsetSum(Pps.poissonSample(items, 20, seed = 900 + r))(subset.contains).value
+      Pps.poissonSample(items, 20, seed = 900 + r).collect { case e if subset(e.item) => e.count }.sum
     }
     val mc = variance(ests)
     val theory = Pps.poissonVariance(items, 20)(subset.contains)
     assert(math.abs(mc - theory) / theory < 0.15, s"mc=$mc theory=$theory")
-  }
-
-  test("systematic sample always has exactly k entries") {
-    val items = weights.zipWithIndex.map { case (w, i) => (i, w) }
-    (0 until 200).foreach { r =>
-      assert(Pps.systematicSample(items, 12, seed = r).size == 12)
-    }
-  }
-
-  test("systematic sample: empirical marginals match the target probabilities") {
-    val items = weights.zipWithIndex.map { case (w, i) => (i, w) }
-    val pis = Pps.inclusionProbabilities(weights, 10)
-    val reps = 4000
-    val hits = new Array[Int](items.size)
-    (0 until reps).foreach { r =>
-      Pps.systematicSample(items, 10, seed = 2000 + r).foreach(e => hits(e.item) += 1)
-    }
-    items.indices.foreach { i =>
-      val p = hits(i).toDouble / reps
-      val se = math.sqrt(pis(i) * (1 - pis(i)) / reps) + 1e-9
-      assert(math.abs(p - pis(i)) < 5 * se + 0.01, s"item $i: p=$p target=${pis(i)}")
-    }
-  }
-
-  test("systematic sample: HT subset sums are unbiased (Monte Carlo)") {
-    val items = weights.zipWithIndex.map { case (w, i) => (i, w) }
-    val subset = (0 until 50 by 4).toSet
-    val truth = items.collect { case (i, w) if subset(i) => w }.sum
-    val reps = 3000
-    val ests = (0 until reps).map { r =>
-      Pps.subsetSum(Pps.systematicSample(items, 10, seed = 3000 + r))(subset.contains).value
-    }
-    assertUnbiased(ests, truth, z = 4.5, label = "systematic subset")
   }
 
   test("rejects invalid arguments") {
