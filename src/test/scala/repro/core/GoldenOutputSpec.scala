@@ -14,7 +14,10 @@ import repro.sampling.{BottomK, BottomKSample}
   * the update or merge kernels must leave them untouched. Small cases are
   * spelled out; large ones are compared through a SHA-256 of the same
   * rendering. Bottom-k samples are pinned the same way, with the bits of τ,
-  * since their per-item hash decides which items are kept.
+  * since their per-item hash decides which items are kept. Query answers read
+  * off finished summaries (subset sums with their variances, point estimates,
+  * membership and top-k) are pinned as bits too, so a faster query path must
+  * return the very same numbers.
   */
 class GoldenOutputSpec extends AnyFunSuite {
 
@@ -131,5 +134,39 @@ class GoldenOutputSpec extends AnyFunSuite {
     val small = BottomK[Int](5, seed = 35)
     stream.take(2000).foreach(small.update(_))
     assert(render(small.result) == "2738:4000000000000000,2386:3ff0000000000000,2789:3ff0000000000000,2950:4020000000000000,2186:3ff0000000000000|tau=3f91b06074589f80")
+  }
+
+  /** Every query answer of `s` over `sets` and the probe items, as bits. */
+  private def renderQueries(s: SketchSummary[Int], sets: Seq[Set[Int]], probes: Range): String =
+    sets.map { q => val e = s.subsetSumOf(q); s"${q.size}:${bits(e.value)}/${bits(e.variance)}" }.mkString(",") +
+      "|est=" + probes.map(i => bits(s.estimate(i))).mkString(",") +
+      "|in=" + probes.filter(s.contains).mkString(",") +
+      "|top=" + s.topK(12).map(e => s"${e.item}:${bits(e.count)}").mkString(",")
+
+  /** Seeded query sets over [−50, 1.5·items): the empty set, sets smaller and
+    * larger than a summary of `bins` bins, and a set of items no summary holds.
+    */
+  private def querySets(items: Int, bins: Int, seed: Long): Seq[Set[Int]] = {
+    val r = new SplittableRandom(seed)
+    val sizes = Seq(1, 3, bins / 4, bins - 1, bins, bins + 1, 4 * bins, items)
+    Set.empty[Int] +: Set(-1, -2, items + 7) +:
+      sizes.map(n => Seq.fill(n)(r.nextInt(items * 3 / 2 + 50) - 50).toSet)
+  }
+
+  test("subset sums, estimates, membership and top-k of finished summaries are pinned") {
+    val single = uss(m = 64, seed = 1, rows = 20000, items = 2000).summary
+    assert(sha(renderQueries(single, querySets(2000, 64, 70), -10 until 2100)) ==
+      "1db8823c3ea113585d03e8e22ab66a478a6300674eeff4d03bbe47783313c644")
+    val parts = (0 until 8).map(k => uss(m = 48, seed = 20 + k, rows = 6000, items = 900).summary)
+    val pairwise = Merge.pairwiseUnbiased(48, 5, parts).summary
+    assert(sha(renderQueries(pairwise, querySets(900, 48, 71), -10 until 950)) ==
+      "738fe230986ed6f8ecb3f59cb8a2b9f8293f555600af6dccdfa1d01fcd4c81fc")
+    val sampled = Merge.prioritySampled(48, 8, parts).summary
+    assert(sampled.entries.exists(e => e.count != math.rint(e.count)))
+    assert(sha(renderQueries(sampled, querySets(900, 48, 72), -10 until 950)) ==
+      "d4e096c4daee9ba0bf2aec26cefcf43008b22f266357ae7a7d77187e86fca075")
+    // Three of the four items hold bins and N̂_min = 262, so C_S = 3.
+    assert(single.minCount == 262.0)
+    assert(single.subsetSumOf(Set(0, 1, 2, -1)) == Estimate(3908.0, 262.0 * 262.0 * 3))
   }
 }
