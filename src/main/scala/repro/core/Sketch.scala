@@ -79,10 +79,15 @@ object Estimate {
 final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
                                   total: Double, m: Int) {
 
-  private lazy val index: Map[T, Double] = entries.iterator.map(e => e.item -> e.count).toMap
+  // Item → its position in `entries` (the last one if a hand-built summary
+  // repeats an item). Scala `==`/`##`, as `Set.contains` uses.
+  private lazy val index: Map[T, Int] = entries.iterator.map(_.item).zipWithIndex.toMap
 
   /** Point estimate N̂_i for a single item (0 if not in the sketch). */
-  def estimate(item: T): Double = index.getOrElse(item, 0.0)
+  def estimate(item: T): Double = {
+    val b = index.getOrElse(item, -1)
+    if (b >= 0) entries(b).count else 0.0
+  }
 
   /** Whether the item currently labels a bin (the Z_i indicator of Table 1). */
   def contains(item: T): Boolean = index.contains(item)
@@ -98,8 +103,22 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     Estimate(sum, minCount * minCount * math.max(1, hits))
   }
 
-  /** Subset sum over an explicit item set. */
-  def subsetSumOf(items: Set[T]): Estimate = subsetSum(items.contains)
+  /** Subset sum over an explicit item set. A set smaller than the summary
+    * probes the index once per item and marks the bins it hits, then adds the
+    * marked counts in bin order, the order of `subsetSum`'s scan, so both
+    * return the same bits. A larger set, or a summary that repeats an item,
+    * takes the scan.
+    */
+  def subsetSumOf(items: Set[T]): Estimate =
+    if (items.size >= entries.size || index.size < entries.size) subsetSum(items.contains)
+    else {
+      val marked = new java.util.BitSet(entries.size)
+      items.foreach { x => val b = index.getOrElse(x, -1); if (b >= 0) marked.set(b) }
+      var sum = 0.0
+      var b = marked.nextSetBit(0)
+      while (b >= 0) { sum += entries(b).count; b = marked.nextSetBit(b + 1) }
+      Estimate(sum, minCount * minCount * math.max(1, marked.cardinality))
+    }
 
   /** Items with estimated relative frequency above `phi` (frequent items). */
   def frequentItems(phi: Double): Vector[Entry[T]] = {

@@ -93,6 +93,72 @@ class SketchSummarySpec extends AnyFunSuite {
   test("size reports occupied bins") {
     assert(s.size == 4)
   }
+
+  private def bits(e: Estimate): (Long, Long) =
+    (java.lang.Double.doubleToRawLongBits(e.value), java.lang.Double.doubleToRawLongBits(e.variance))
+
+  /** `subsetSumOf` must return the predicate scan's value and variance, bits
+    * and all.
+    */
+  private def assertSameAsScan[T](sum: SketchSummary[T], set: Set[T]): Unit = {
+    val got = sum.subsetSumOf(set)
+    val scan = sum.subsetSum(set.contains)
+    assert(bits(got) == bits(scan), s"$got vs scan $scan: ${set.size} items, ${sum.size} bins")
+  }
+
+  test("subsetSumOf equals the scan bit for bit over random sets and summaries, Int and String keys") {
+    val r = new java.util.SplittableRandom(5)
+    (0 until 300).foreach { k =>
+      val m = 1 + r.nextInt(80)
+      val items = m + r.nextInt(400)
+      val weighted = r.nextBoolean()
+      val sk = UnbiasedSpaceSaving[Int](m, seed = k)
+      // Rows from 0 (an empty summary) to well past filling; weighted rows
+      // give non-integer counts, whose sum depends on the order of addition.
+      (0 until r.nextInt(4000)).foreach { _ =>
+        sk.update((items * math.pow(r.nextDouble(), 3)).toInt, if (weighted) 0.05 + 5 * r.nextDouble() else 1.0)
+      }
+      val ints = sk.summary
+      val strs = SketchSummary(ints.entries.map(e => Entry("k" + e.item, e.count)), ints.minCount, ints.total, m)
+      (0 until 12).foreach { _ =>
+        // Sets from empty to twice the bins, over present and absent items.
+        val set = Seq.fill(r.nextInt(2 * m + 2))(r.nextInt(items + 20) - 10).toSet
+        assertSameAsScan(ints, set)
+        assertSameAsScan(strs, set.map("k" + _))
+      }
+    }
+  }
+
+  test("subsetSumOf on the empty set, absent items and a never-filled summary") {
+    assert(s.subsetSumOf(Set.empty[String]) == Estimate(0.0, 100.0))
+    assert(s.subsetSumOf(Set("zz", "yy")) == Estimate(0.0, 100.0))
+    assert(s.subsetSumOf(Set("b", "zz")) == Estimate(30.0, 100.0))
+    val sk = UnbiasedSpaceSaving[Int](50, seed = 3)
+    (0 until 200).foreach(i => sk.update(i % 20, 0.5 + i % 3))
+    val unfilled = sk.summary
+    assert(unfilled.minCount == 0.0 && unfilled.size == 20)
+    assert(unfilled.subsetSumOf(Set(1, 2, 99)) == Estimate(unfilled.estimate(1) + unfilled.estimate(2), 0.0))
+    Seq(Set.empty[Int], Set(99), Set(1, 2, 99), (0 until 19).toSet, (0 until 40).toSet)
+      .foreach(assertSameAsScan(unfilled, _))
+  }
+
+  test("a hand-built summary that repeats an item is still summed over every matching bin") {
+    val dup = SketchSummary(
+      Vector(Entry("a", 1.5), Entry("b", 2.0), Entry("a", 4.0), Entry("c", 1.0), Entry("d", 1.0)),
+      minCount = 1.0, total = 9.5, m = 5)
+    assert(dup.subsetSumOf(Set("a")) == Estimate(5.5, 2.0))
+    assert(dup.subsetSumOf(Set("a", "c", "zz")) == Estimate(6.5, 3.0))
+    Seq(Set("a"), Set("a", "b"), Set("zz"), Set("a", "b", "c", "d", "e")).foreach(assertSameAsScan(dup, _))
+  }
+
+  test("items match with Scala's cooperative equality, as Set.contains does") {
+    val any = SketchSummary[Any](Vector(Entry(1, 3.0), Entry("x", 2.0), Entry(2.5, 1.0)),
+      minCount = 1.0, total = 6.0, m = 3)
+    assert(any.subsetSumOf(Set[Any](1L)) == Estimate(3.0, 1.0))
+    assert(any.subsetSumOf(Set[Any](1.0, 2.5f)) == Estimate(4.0, 2.0))
+    assertSameAsScan(any, Set[Any](1L))
+    assert(any.contains(1L) && any.estimate(1.0) == 3.0 && !any.contains(2))
+  }
 }
 
 class VarianceEstimatorSpec extends AnyFunSuite {
