@@ -66,10 +66,12 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   def contains(item: T): Boolean = find(item.asInstanceOf[AnyRef]) >= 0
 
   /** Process one row: item `item` with positive weight `w` (§5.3 allows any
-    * positive real weight; unit-weight streams use w = 1).
+    * positive real weight; unit-weight streams use w = 1). Zero, negative,
+    * NaN and infinite weights are rejected: an infinite one would make the
+    * total weight, and every subset sum over its bin, infinite.
     */
   def update(item: T, w: Double = 1.0): Unit = {
-    require(w > 0, s"weights must be positive, got $w")
+    require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w")
     totalW += w
     val x = item.asInstanceOf[AnyRef]
     val b = find(x)

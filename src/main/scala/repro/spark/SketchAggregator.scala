@@ -5,8 +5,10 @@ import org.apache.spark.sql.{Encoder, Encoders}
 import org.apache.spark.sql.expressions.Aggregator
 import repro.core.{Entry, Merge, Rng, SketchSummary, UnbiasedSpaceSaving}
 
-/** One input row of the disaggregated stream: an item key and a positive
-  * weight (1.0 for plain counting).
+/** One input row of the disaggregated stream: an item key and a weight (1.0
+  * for plain counting). A zero weight adds nothing and is skipped; a negative,
+  * NaN or infinite one fails the job, naming the weight. A null item is
+  * counted as one more item, with a null label.
   */
 final case class ItemWeight(item: String, weight: Double)
 
@@ -50,7 +52,7 @@ final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = 
   }
 
   override def reduce(b: UnbiasedSpaceSaving[String], a: ItemWeight): UnbiasedSpaceSaving[String] = {
-    b.update(a.item, a.weight)
+    if (a.weight != 0.0) b.update(a.item, a.weight)
     b
   }
 

@@ -66,6 +66,19 @@ class UnbiasedSpaceSavingSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](s.update(1, -2.0))
   }
 
+  test("NaN, infinite and negative weights are rejected by name and leave the sketch as it was") {
+    Seq[SpaceSavingBase[Int]](UnbiasedSpaceSaving[Int](3, seed = 7), DeterministicSpaceSaving[Int](3, seed = 7))
+      .foreach { s =>
+        s.update(1, 2.5)
+        val before = s.summary
+        Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -1.5, 0.0).foreach { w =>
+          val e = intercept[IllegalArgumentException](s.update(2, w))
+          assert(e.getMessage.contains(s"got $w"), e.getMessage)
+        }
+        assert(s.summary == before && s.totalWeight == 2.5)
+      }
+  }
+
   test("m must be positive") {
     assertThrows[IllegalArgumentException](UnbiasedSpaceSaving[Int](0, seed = 1))
   }

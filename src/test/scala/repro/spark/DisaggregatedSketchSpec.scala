@@ -50,6 +50,26 @@ class DisaggregatedSketchSpec extends SparkSpec {
       "t" -> small)
   }
 
+  test("zero-weight rows are skipped: the exact-regime sketch equals the exact GROUP BY (DuckDB oracle)") {
+    // Key 1 has only zero-weight rows; the other keys mix zero and unit rows.
+    val zeros = SynthData.uniformKeys(spark, rows = 4000, nKeys = 40, seed = 8)
+      .select(col("k").cast("string").as("item"),
+              when(col("k") === 1 || col("v") < 0.3, 0.0).otherwise(1.0).as("weight"))
+      .repartition(7).cache()
+    val summary = DisaggregatedSketch.sketch(zeros, col("item"), col("weight"), m = 256, seed = 14)
+    assert(!summary.contains("1"))
+    val exact = DisaggregatedSketch.exactPairs(zeros, col("item"), col("weight"))
+    assert(exact.exists { case (i, w) => i == "1" && w == 0.0 })
+    assert(summary.entries.map(e => e.item -> e.count).toMap == exact.filter(_._2 > 0).toMap)
+    assert(summary.total == exact.map(_._2).sum)
+    val entriesDf = summary.entries.map(e => (e.item, e.count)).toDF("item", "total")
+    Oracle.assertEquivalent(entriesDf,
+      "SELECT item, CAST(sum(CAST(weight AS DOUBLE)) AS DOUBLE) AS total FROM t GROUP BY item " +
+        "HAVING sum(CAST(weight AS DOUBLE)) > 0",
+      "t" -> zeros)
+    zeros.unpersist()
+  }
+
   test("sketch total weight equals the row count even far below the distinct count") {
     val distinct = wide.select("item").distinct().count()
     val summary = DisaggregatedSketch.sketch(wide, col("item"), col("weight"), m = 100, seed = 3)

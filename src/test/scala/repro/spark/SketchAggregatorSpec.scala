@@ -22,6 +22,31 @@ class SketchAggregatorSpec extends AnyFunSuite {
     assert(b.totalWeight == 7.0)
   }
 
+  test("reduce skips zero-weight rows") {
+    val withZeros = agg.zero
+    val without = agg.zero
+    Seq("a" -> 2.0, "z" -> 0.0, "a" -> -0.0, "b" -> 1.5, "b" -> 0.0).foreach { case (i, w) =>
+      agg.reduce(withZeros, ItemWeight(i, w))
+      if (w != 0.0) agg.reduce(without, ItemWeight(i, w))
+    }
+    assert(withZeros.summary == without.summary)
+    assert(!withZeros.contains("z") && withZeros.totalWeight == 3.5 && withZeros.size == 2)
+  }
+
+  test("reduce rejects NaN, infinite and negative weights, naming the weight") {
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -3.0).foreach { w =>
+      val e = intercept[IllegalArgumentException](agg.reduce(agg.zero, ItemWeight("a", w)))
+      assert(e.getMessage.contains(s"got $w"), e.getMessage)
+    }
+  }
+
+  test("a null item is counted as one item with a null label") {
+    val b = agg.zero
+    Seq[(String, Double)]((null, 1.0), ("a", 2.0), (null, 3.0)).foreach { case (i, w) => agg.reduce(b, ItemWeight(i, w)) }
+    assert(b.estimate(null) == 4.0 && b.size == 2)
+    assert(agg.finish(b).entries.toSeq.contains(SketchEntryRow(null, 4.0)))
+  }
+
   test("merge is lossless when buffers fit and preserves totals otherwise") {
     val b1 = agg.zero; val b2 = agg.zero
     Seq("a" -> 3.0, "b" -> 2.0).foreach { case (i, w) => agg.reduce(b1, ItemWeight(i, w)) }
