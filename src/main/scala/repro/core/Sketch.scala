@@ -100,8 +100,10 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     var sum = 0.0
     var hits = 0
     entries.foreach { e => if (pred(e.item)) { sum += e.count; hits += 1 } }
-    Estimate(sum, minCount * minCount * math.max(1, hits))
+    eq5(sum, hits)
   }
+
+  private def eq5(sum: Double, hits: Int): Estimate = Estimate(sum, minCount * minCount * math.max(1, hits))
 
   /** Subset sum over an explicit item set. A set smaller than the summary
     * probes the index once per item and marks the bins it hits, then adds the
@@ -117,7 +119,7 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
       var sum = 0.0
       var b = marked.nextSetBit(0)
       while (b >= 0) { sum += entries(b).count; b = marked.nextSetBit(b + 1) }
-      Estimate(sum, minCount * minCount * math.max(1, marked.cardinality))
+      eq5(sum, marked.cardinality)
     }
 
   /** Items with estimated relative frequency above `phi` (frequent items). */
