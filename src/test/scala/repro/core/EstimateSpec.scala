@@ -100,10 +100,10 @@ class SketchSummarySpec extends AnyFunSuite {
   /** `subsetSumOf` must return the predicate scan's value and variance, bits
     * and all.
     */
-  private def assertSameAsScan[T](sum: SketchSummary[T], set: Set[T]): Unit = {
-    val got = sum.subsetSumOf(set)
-    val scan = sum.subsetSum(set.contains)
-    assert(bits(got) == bits(scan), s"$got vs scan $scan: ${set.size} items, ${sum.size} bins")
+  private def assertSameAsScan[T](summary: SketchSummary[T], set: Set[T]): Unit = {
+    val got = summary.subsetSumOf(set)
+    val scan = summary.subsetSum(set.contains)
+    assert(bits(got) == bits(scan), s"$got vs scan $scan: ${set.size} items, ${summary.size} bins")
   }
 
   test("subsetSumOf equals the scan bit for bit over random sets and summaries, Int and String keys") {
