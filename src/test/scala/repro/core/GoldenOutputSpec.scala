@@ -5,7 +5,7 @@ import java.security.MessageDigest
 import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Streams
-import repro.sampling.{BottomK, BottomKSample}
+import repro.sampling.{BottomK, BottomKSample, Pps, PrioritySample, PrioritySampling}
 
 /** Pins the exact seeded outputs of the sketches and of the unbiased merges:
   * every bin in `entriesVector` order with its count's bit pattern, plus
@@ -17,7 +17,8 @@ import repro.sampling.{BottomK, BottomKSample}
   * since their per-item hash decides which items are kept. Query answers read
   * off finished summaries (subset sums with their variances, point estimates,
   * membership and top-k) are pinned as bits too, so a faster query path must
-  * return the very same numbers.
+  * return the very same numbers. The seeded draws of the stream generators
+  * and of the PPS and priority samplers are pinned as well.
   */
 class GoldenOutputSpec extends AnyFunSuite {
 
@@ -168,5 +169,43 @@ class GoldenOutputSpec extends AnyFunSuite {
     // Three of the four items hold bins and N̂_min = 262, so C_S = 3.
     assert(single.minCount == 262.0)
     assert(single.subsetSumOf(Set(0, 1, 2, -1)) == Estimate(3908.0, 262.0 * 262.0 * 3))
+  }
+
+  test("seeded stream orders and random subsets are pinned") {
+    val counts = Streams.weibullCounts(2000, 0.3, scale = 20.0)
+    def shaOf(rows: Array[Int]): String = sha(rows.mkString(","))
+    assert(shaOf(Streams.expand(counts, Streams.Order.Permuted, 41)) == "c6168f6cc0529eb0c381ece1daa8506c37b8ecbf04a4288fd3c42436df73983d")
+    assert(shaOf(Streams.expand(counts, Streams.Order.TwoHalves, 42)) == "e1cfcae09689284fbe9f1d84d38cc87c2063da4774f521c69d59ca97186f4889")
+    val subsets = Streams.randomSubsets(5000, 100, 20, 43)
+    assert(sha(subsets.map(_.toSeq.sorted.mkString(" ")).mkString("|")) == "aa25e2d1a05c9fc335e02677c37b53a2743b21dc86fc181a3a2e7e5db39dbcb7")
+  }
+
+  test("seeded Poisson PPS samples are pinned") {
+    val r = new SplittableRandom(44)
+    val items = (0 until 3000).map(i => i -> (0.05 + 50 * math.pow(r.nextDouble(), 3)))
+    val sample = Pps.poissonSample(items, 200, 45)
+    assert(sha(sample.map(e => s"${e.item}:${bits(e.count)}").mkString(",")) == "2a563bd4b6d575f4603a6bf1c2ca934e455f02a5f5c4f247eec6ad5d66925354")
+  }
+
+  private def render[T](p: PrioritySample[T]): String =
+    p.entries.map(e => s"${e.item}:${bits(e.weight)}/${bits(e.adjusted)}").mkString(",") +
+      s"|tau=${bits(p.threshold)}"
+
+  test("priority samples are pinned: entries, adjusted weights and tau, exhaustive and sampled") {
+    val r = new SplittableRandom(46)
+    val items = (0 until 3000).map(i => i -> (0.05 + 50 * math.pow(r.nextDouble(), 3)))
+    assert(sha(render(PrioritySampling.sample(items, 150, 47))) == "9539070d23e5d8a226d0f4e771e4a414c8223571d44822b3877bb0df572f69e1")
+    assert(sha(render(PrioritySampling.sample(items.take(40), 150, 48))) == "b300d1865914c6a79fc9d421acc20f72e271fec0878a7c28d8a6dd187c353abc")
+    assert(render(PrioritySampling.sample(items.take(8), 3, 49)) == "2:4036d6c461d424c9/4036d6c461d424c9,0:4033844be9df9d30/4033844be9df9d30,7:401c15664f6640cd/4025f7177f6cb499|tau=3fb74f41b56012ab")
+  }
+
+  test("a priority-sampled merge keeps ingesting the same way") {
+    val parts = (0 until 6).map(k => uss(m = 40, seed = 80 + k, rows = 4000, items = 700).summary)
+    val sampled = Merge.prioritySampled(40, 86, parts)
+    feed(sampled, 5000, 700, 87, weighted = true)
+    assert(sha(render(sampled)) == "f567aa12d61a58f742de63e8a84bac77a413a0f7bbeb83376090515cacc75154")
+    val exhaustive = Merge.prioritySampled(400, 88, parts)
+    feed(exhaustive, 5000, 700, 89, weighted = false)
+    assert(sha(render(exhaustive)) == "5b3d1cbcaa1c2866b156bd9a4d6c1927a158656ab5c153a5bd54e968c22241dc")
   }
 }
