@@ -2,6 +2,11 @@ package repro.core
 
 import scala.collection.mutable
 
+/** One item kept by `Merge.priorityReduction`: its original weight and its
+  * Horvitz-Thompson adjusted weight `max(weight, 1/τ)`.
+  */
+final case class PriorityEntry[T](item: T, weight: Double, adjusted: Double)
+
 /** Merge / size-reduction operations for Space Saving sketches (§5.3, §5.5).
   *
   * All merges first combine bins exactly (summing counts for shared labels —
@@ -15,7 +20,8 @@ import scala.collection.mutable
   *    label survives with probability proportional to its count). This is the
   *    same reduction Unbiased Space Saving applies on every stream update, so
   *    it preserves the total weight *exactly* while staying unbiased.
-  *  - `prioritySampled`: one-shot priority-sampling reduction with
+  *  - `prioritySampled`: one-shot priority-sampling reduction
+  *    (`priorityReduction`, which `PrioritySampling` shares) with
   *    Horvitz-Thompson adjusted counts `max(c_i, 1/τ)` (§5.5 suggests
   *    "replacing the pairwise randomization with priority sampling"). Unbiased
   *    per item, but the total is only preserved in expectation.
@@ -42,7 +48,7 @@ object Merge {
     */
   def pairwiseUnbiased[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
     val (acc, total) = combine(sketches)
-    val rng = Lcg(seed)
+    val rng = Rng(seed)
     // Min-heap of (count, tie-break) keys over ids into `items`; the ties are
     // drawn in `acc`'s iteration order.
     val items = new Array[Any](acc.size)
@@ -69,24 +75,38 @@ object Merge {
     UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), entries.result(), total)
   }
 
-  /** Unbiased merge via a priority-sampling reduction: keep the m bins with
-    * the smallest priorities U_i/c_i, Horvitz-Thompson adjust survivors to
-    * `max(c_i, 1/τ)` with τ the (m+1)-th smallest priority.
+  /** Unbiased merge via `priorityReduction` of the combined bins; the merged
+    * sketch's seed is the next draw of the same generator.
     */
   def prioritySampled[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
     val (acc, total) = combine(sketches)
-    val rng = Lcg(seed)
-    val entries: Seq[Entry[T]] =
-      if (acc.size <= m) acc.iterator.map { case (i, c) => Entry(i, c) }.toVector
-      else {
-        val prioritized = acc.iterator.map { case (i, c) =>
-          val u = math.max(rng.nextDouble(), Double.MinPositiveValue)
-          (u / c, i, c)
-        }.toArray.sortBy(_._1)
-        val tau = prioritized(m)._1
-        prioritized.take(m).iterator.map { case (_, i, c) => Entry(i, math.max(c, 1.0 / tau)) }.toVector
-      }
-    UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), entries, total)
+    val rng = Rng(seed)
+    val (kept, _) = priorityReduction(acc, m, rng)
+    UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), kept.map(e => Entry(e.item, e.adjusted)), total)
+  }
+
+  /** Priority sampling (Duffield, Lund & Thorup 2007; §5.5): each (item,
+    * weight) pair, in iteration order, draws U_i and gets the priority
+    * U_i/w_i. The m smallest priorities are kept, in ascending priority
+    * order, with adjusted weights `max(w_i, 1/τ)`, τ the (m+1)-th smallest
+    * priority. With at most m pairs every pair is kept as it is, τ = 0 and
+    * nothing is drawn. Weights must be positive and finite. Returns the kept
+    * items and τ.
+    */
+  def priorityReduction[T](items: Iterable[(T, Double)], m: Int, rng: Rng): (Vector[PriorityEntry[T]], Double) = {
+    require(m > 0, s"sample size must be positive, got $m")
+    items.foreach { case (i, w) =>
+      require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w for item $i")
+    }
+    if (items.sizeIs <= m) (items.iterator.map { case (i, w) => PriorityEntry(i, w, w) }.toVector, 0.0)
+    else {
+      val prioritized = items.iterator.map { case (i, w) =>
+        val u = math.max(rng.nextDouble(), Double.MinPositiveValue)
+        (u / w, i, w)
+      }.toArray.sortBy(_._1)
+      val tau = prioritized(m)._1
+      (prioritized.iterator.take(m).map { case (_, i, w) => PriorityEntry(i, w, math.max(w, 1.0 / tau)) }.toVector, tau)
+    }
   }
 
   /** Deterministic biased merge: soft-threshold combined counts by the

@@ -15,8 +15,11 @@ final case class Estimate(value: Double, variance: Double) {
   /** Estimated standard deviation. */
   def stddev: Double = math.sqrt(variance)
 
-  /** Normal confidence interval at confidence level `conf` (default 95%). */
+  /** Normal confidence interval at confidence level `conf` (default 95%),
+    * 0 < conf < 1.
+    */
   def ci(conf: Double = 0.95): (Double, Double) = {
+    require(conf > 0 && conf < 1, s"confidence level must be in (0,1), got conf=$conf")
     val z = Estimate.normalQuantile(0.5 + conf / 2)
     (value - z * stddev, value + z * stddev)
   }

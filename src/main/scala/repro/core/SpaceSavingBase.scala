@@ -25,7 +25,7 @@ package repro.core
 abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializable {
   require(m > 0, s"sketch must have at least one bin, got m=$m")
 
-  private val rng = Lcg(seed)
+  private val rng = Rng(seed)
 
   private val labels = new Array[AnyRef](m)
   private val heap = new KeyHeap(m)

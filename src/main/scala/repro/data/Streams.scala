@@ -1,6 +1,6 @@
 package repro.data
 
-import scala.util.Random
+import repro.core.Rng
 
 /** Synthetic disaggregated streams following §7 of the paper.
   *
@@ -52,26 +52,26 @@ object Streams {
     order match {
       case Order.SortedAscending  => rows
       case Order.SortedDescending => rows.reverse
-      case Order.Permuted         => shuffleInPlace(rows, repro.core.Rng(seed)); rows
+      case Order.Permuted         => shuffled(rows, Rng(seed))
       case Order.TwoHalves =>
         // Items are split by id parity of n/2: first half = items [0, n/2),
         // second half = items [n/2, n); each half shuffled independently.
         val cut = counts.length / 2
         val (a, b) = rows.partition(_ < cut)
-        val rng = repro.core.Rng(seed)
-        shuffleInPlace(a, rng)
-        shuffleInPlace(b, rng)
-        a ++ b
+        val rng = Rng(seed)
+        shuffled(a, rng) ++ shuffled(b, rng)
     }
   }
 
-  private def shuffleInPlace(a: Array[Int], rng: Random): Unit = {
+  /** Fisher–Yates in place, from the last position down; returns `a`. */
+  private def shuffled(a: Array[Int], rng: Rng): Array[Int] = {
     var i = a.length - 1
     while (i > 0) {
       val j = rng.nextInt(i + 1)
       val t = a(i); a(i) = a(j); a(j) = t
       i -= 1
     }
+    a
   }
 
   sealed trait Order
@@ -96,7 +96,7 @@ object Streams {
     * filter conditions of §7 ("we draw random subsets of 100 items").
     */
   def randomSubsets(nItems: Int, size: Int, howMany: Int, seed: Long): Vector[Set[Int]] = {
-    val rng = repro.core.Rng(seed)
-    Vector.fill(howMany)(rng.shuffle((0 until nItems).toVector).take(size).toSet)
+    val rng = Rng(seed)
+    Vector.fill(howMany)(shuffled(Array.range(0, nItems), rng).take(size).toSet)
   }
 }

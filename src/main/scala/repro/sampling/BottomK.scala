@@ -37,7 +37,7 @@ final class BottomK[T](val k: Int, seed: Long) extends Serializable {
   def totalWeight: Double = totalW
 
   def update(item: T, w: Double = 1.0): Unit = {
-    require(w > 0, s"weights must be positive, got $w")
+    require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w")
     totalW += w
     slot.get(item) match {
       case Some(key) =>

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.Entry
+import repro.core.{Entry, Rng}
 
 /** Probability-proportional-to-size sampling utilities (§5.1).
   *
@@ -19,7 +19,7 @@ object Pps {
     */
   def inclusionProbabilities(weights: Seq[Double], k: Int): Array[Double] = {
     require(k > 0, s"sample size must be positive, got $k")
-    weights.foreach(w => require(w > 0, s"weights must be positive, got $w"))
+    weights.foreach(w => require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w"))
     val n = weights.size
     if (k >= n) return Array.fill(n)(1.0)
     // Sort descending; peel off certainty items while α·w > 1.
@@ -43,7 +43,7 @@ object Pps {
   /** Poisson (independent Bernoulli) PPS sample with HT-adjusted weights. */
   def poissonSample[T](items: Seq[(T, Double)], k: Int, seed: Long): Vector[Entry[T]] = {
     val pis = inclusionProbabilities(items.map(_._2), k)
-    val rng = repro.core.Rng(seed)
+    val rng = Rng(seed)
     items.iterator.zipWithIndex.flatMap { case ((i, w), j) =>
       if (rng.nextDouble() < pis(j)) Some(Entry(i, w / pis(j))) else None
     }.toVector

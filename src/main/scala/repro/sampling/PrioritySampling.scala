@@ -1,11 +1,6 @@
 package repro.sampling
 
-import repro.core.Estimate
-
-/** One sampled item: its original weight and its Horvitz-Thompson adjusted
-  * weight `max(weight, 1/τ)`.
-  */
-final case class PriorityEntry[T](item: T, weight: Double, adjusted: Double)
+import repro.core.{Estimate, Merge, PriorityEntry, Rng}
 
 /** Priority sampling (Duffield, Lund & Thorup 2007) over **pre-aggregated**
   * (item, weight) data — the paper's state-of-the-art comparator for subset
@@ -50,28 +45,12 @@ final case class PrioritySample[T](entries: Vector[PriorityEntry[T]], threshold:
 object PrioritySampling {
 
   /** Draw a priority sample of up to `m` items from pre-aggregated
-    * (item, weight) pairs. Weights must be positive.
+    * (item, weight) pairs with `Merge.priorityReduction`. Weights must be
+    * positive and finite. With at most `m` items the sample is exhaustive:
+    * τ = 0 and every adjusted weight is the exact weight.
     */
   def sample[T](items: Seq[(T, Double)], m: Int, seed: Long): PrioritySample[T] = {
-    require(m > 0, s"sample size must be positive, got $m")
-    val rng = repro.core.Rng(seed)
-    if (items.sizeIs <= m) {
-      // Exhaustive: every item kept with its exact weight; τ = 0 ⇒ ŵ = w.
-      PrioritySample(items.iterator.map { case (i, w) =>
-        require(w > 0, s"weights must be positive, got ($i, $w)")
-        PriorityEntry(i, w, w)
-      }.toVector, 0.0)
-    } else {
-      val prioritized = items.iterator.map { case (i, w) =>
-        require(w > 0, s"weights must be positive, got ($i, $w)")
-        val u = math.max(rng.nextDouble(), Double.MinPositiveValue)
-        (u / w, i, w)
-      }.toArray.sortBy(_._1)
-      val tau = prioritized(m)._1
-      val kept = prioritized.take(m).iterator
-        .map { case (_, i, w) => PriorityEntry(i, w, math.max(w, 1.0 / tau)) }
-        .toVector
-      PrioritySample(kept, tau)
-    }
+    val (kept, tau) = Merge.priorityReduction(items, m, Rng(seed))
+    PrioritySample(kept, tau)
   }
 }

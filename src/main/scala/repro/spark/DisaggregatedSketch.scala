@@ -15,15 +15,14 @@ import repro.core.SketchSummary
   */
 object DisaggregatedSketch {
 
-  private def aggUdf(m: Int, seed: Long, deterministic: Boolean) =
-    udaf(new UnbiasedSpaceSavingAgg(m, seed, deterministic), Encoders.product[ItemWeight])
+  private def aggUdf(m: Int, seed: Long) =
+    udaf(new UnbiasedSpaceSavingAgg(m, seed), Encoders.product[ItemWeight])
 
   /** Register the sketch aggregate under `name` in the session's function
     * registry; call sites then use it from SQL.
     */
-  def register(spark: SparkSession, name: String, m: Int, seed: Long,
-               deterministic: Boolean = false): Unit =
-    spark.udf.register(name, aggUdf(m, seed, deterministic))
+  def register(spark: SparkSession, name: String, m: Int, seed: Long): Unit =
+    spark.udf.register(name, aggUdf(m, seed))
 
   private def rowToResult(r: Row): SketchResultRow = {
     val es = r.getAs[scala.collection.Seq[Row]]("entries")
@@ -36,9 +35,8 @@ object DisaggregatedSketch {
     * (`itemCol`, `weightCol`), built per-partition and combined with the
     * unbiased merge. Returns the queryable summary.
     */
-  def sketch(df: DataFrame, itemCol: Column, weightCol: Column, m: Int, seed: Long,
-             deterministic: Boolean = false): SketchSummary[String] = {
-    val f = aggUdf(m, seed, deterministic)
+  def sketch(df: DataFrame, itemCol: Column, weightCol: Column, m: Int, seed: Long): SketchSummary[String] = {
+    val f = aggUdf(m, seed)
     val r = df
       .select(itemCol.cast("string").as("item"), weightCol.cast("double").as("weight"))
       .agg(f(col("item"), col("weight")).as("sketch"))
@@ -51,8 +49,8 @@ object DisaggregatedSketch {
     * columns plus `entries`, `minCount`, `total`.
     */
   def sketchByGroup(df: DataFrame, groupCols: Seq[Column], itemCol: Column, weightCol: Column,
-                    m: Int, seed: Long, deterministic: Boolean = false): DataFrame = {
-    val f = aggUdf(m, seed, deterministic)
+                    m: Int, seed: Long): DataFrame = {
+    val f = aggUdf(m, seed)
     df.select((groupCols :+ itemCol.cast("string").as("__item") :+ weightCol.cast("double").as("__weight")): _*)
       .groupBy(groupCols: _*)
       .agg(f(col("__item"), col("__weight")).as("sketch"))

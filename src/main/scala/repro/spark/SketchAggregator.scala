@@ -31,24 +31,20 @@ final case class SketchResultRow(entries: Array[SketchEntryRow], minCount: Doubl
   * merge, which preserves the total weight exactly and keeps every per-item
   * count unbiased (Theorem 2). The buffer travels via Java serialization.
   *
-  * Randomness: each freshly created buffer scrambles the base seed with the
-  * running task's partition id and a per-task counter so sketches built on
-  * different partitions (and for different groups) are independent. Pass
-  * `deterministic = true` to make single-partition runs reproducible.
+  * Randomness: a new buffer's seed is `Rng.scramble(seed ^ partitionId << 32
+  * ^ ordinal)`, the ordinal counting the buffers its task has made, so
+  * partitions and groups draw independently; a merge is seeded from both
+  * buffers' seeds. A rerun over the same partitioning gives the same summary
+  * as long as merges see the buffers in the same order.
   */
-final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = false)
+final class UnbiasedSpaceSavingAgg(m: Int, seed: Long)
     extends Aggregator[ItemWeight, UnbiasedSpaceSaving[String], SketchResultRow] {
 
   @transient private lazy val counter = new java.util.concurrent.atomic.AtomicInteger()
 
   override def zero: UnbiasedSpaceSaving[String] = {
-    val s =
-      if (deterministic) seed
-      else {
-        val pid = Option(TaskContext.get()).map(_.partitionId()).getOrElse(-1)
-        Rng.scramble(seed ^ (pid.toLong << 32) ^ counter.getAndIncrement().toLong)
-      }
-    new UnbiasedSpaceSaving[String](m, s)
+    val pid = Option(TaskContext.get()).map(_.partitionId()).getOrElse(-1)
+    new UnbiasedSpaceSaving[String](m, Rng.scramble(seed ^ (pid.toLong << 32) ^ counter.getAndIncrement().toLong))
   }
 
   override def reduce(b: UnbiasedSpaceSaving[String], a: ItemWeight): UnbiasedSpaceSaving[String] = {
@@ -56,11 +52,8 @@ final class UnbiasedSpaceSavingAgg(m: Int, seed: Long, deterministic: Boolean = 
     b
   }
 
-  override def merge(b1: UnbiasedSpaceSaving[String], b2: UnbiasedSpaceSaving[String]): UnbiasedSpaceSaving[String] = {
-    // Exactness fast path: if the union fits in m bins no reduction happens
-    // and the merge is lossless either way.
+  override def merge(b1: UnbiasedSpaceSaving[String], b2: UnbiasedSpaceSaving[String]): UnbiasedSpaceSaving[String] =
     Merge.pairwiseUnbiased(m, Rng.scramble(b1.seed ^ b2.seed), Seq(b1.summary, b2.summary))
-  }
 
   override def finish(b: UnbiasedSpaceSaving[String]): SketchResultRow = {
     val es = b.entriesVector.map(e => SketchEntryRow(e.item, e.count)).toArray

@@ -45,6 +45,16 @@ class EstimateSpec extends AnyFunSuite {
     assert(!e.covers(45.0))
   }
 
+  test("ci and covers require 0 < conf < 1, naming conf") {
+    val e = Estimate(50.0, 4.0)
+    Seq(0.0, -0.5, 1.0, 1.5).foreach { conf =>
+      val ci = intercept[IllegalArgumentException](e.ci(conf))
+      assert(ci.getMessage.contains(s"conf=$conf"), ci.getMessage)
+      val cov = intercept[IllegalArgumentException](e.covers(50.0, conf))
+      assert(cov.getMessage.contains(s"conf=$conf"), cov.getMessage)
+    }
+  }
+
   test("zero-variance estimate covers only its own value") {
     val e = Estimate(7.0, 0.0)
     assert(e.covers(7.0))

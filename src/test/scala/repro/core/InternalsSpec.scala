@@ -64,20 +64,26 @@ class RngSpec extends AnyFunSuite {
     assert(math.abs(corrNum / varSum) < 0.05)
   }
 
-  test("Lcg draws match Rng(seed) bit for bit on interleaved nextLong/nextDouble") {
+  test("Rng draws match java.util.Random bit for bit on interleaved nextLong/nextDouble/nextInt") {
+    val bounds = Array(1, 2, 3, 7, 4, 64, 1 << 16, 1 << 30, (1 << 30) + 1, Int.MaxValue)
     def mismatch(seed: Long, draws: Int): Option[String] = {
-      val ref = Rng(seed)
-      val lcg = Lcg(seed)
+      val ref = new java.util.Random(Rng.scramble(seed))
+      val rng = Rng(seed)
       val pick = new java.util.SplittableRandom(seed ^ 0x5eedL)
       (0 until draws).iterator.map { k =>
-        if (pick.nextBoolean()) {
-          val (a, b) = (lcg.nextLong(), ref.nextLong())
-          if (a != b) Some(s"seed $seed draw $k nextLong $a != $b") else None
-        } else {
-          val (a, b) = (lcg.nextDouble(), ref.nextDouble())
-          if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
-            Some(s"seed $seed draw $k nextDouble $a != $b")
-          else None
+        pick.nextInt(3) match {
+          case 0 =>
+            val (a, b) = (rng.nextLong(), ref.nextLong())
+            if (a != b) Some(s"seed $seed draw $k nextLong $a != $b") else None
+          case 1 =>
+            val (a, b) = (rng.nextDouble(), ref.nextDouble())
+            if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
+              Some(s"seed $seed draw $k nextDouble $a != $b")
+            else None
+          case _ =>
+            val bound = bounds(pick.nextInt(bounds.length))
+            val (a, b) = (rng.nextInt(bound), ref.nextInt(bound))
+            if (a != b) Some(s"seed $seed draw $k nextInt($bound) $a != $b") else None
         }
       }.collectFirst { case Some(msg) => msg }
     }
@@ -88,6 +94,10 @@ class RngSpec extends AnyFunSuite {
     (1L to 1000L).foreach { seed =>
       val miss = mismatch(seed, 1000)
       assert(miss.isEmpty, miss.getOrElse(""))
+    }
+    Seq(0, -1, Int.MinValue).foreach { bound =>
+      val e = intercept[IllegalArgumentException](Rng(1).nextInt(bound))
+      assert(e.getMessage.contains(s"got $bound"), e.getMessage)
     }
   }
 }

@@ -68,6 +68,12 @@ class PpsSpec extends AnyFunSuite {
     assert(math.abs(mc - theory) / theory < 0.15, s"mc=$mc theory=$theory")
   }
 
+  test("rejects an infinite weight, naming it") {
+    val e = intercept[IllegalArgumentException](Pps.inclusionProbabilities(Seq(1.0, Double.PositiveInfinity, 2.0), 2))
+    assert(e.getMessage.contains("got Infinity"), e.getMessage)
+    assertThrows[IllegalArgumentException](Pps.poissonSample(Seq("a" -> Double.PositiveInfinity), 1, 1))
+  }
+
   test("rejects invalid arguments") {
     assertThrows[IllegalArgumentException](Pps.inclusionProbabilities(Seq(1.0, -1.0), 1))
     assertThrows[IllegalArgumentException](Pps.inclusionProbabilities(Seq(1.0), 0))

@@ -78,6 +78,14 @@ class PrioritySamplingSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](PrioritySampling.sample(items, 0, 1))
   }
 
+  test("rejects an infinite weight, naming it, in the exhaustive and the sampled case") {
+    Seq(10, 2).foreach { m =>
+      val e = intercept[IllegalArgumentException](
+        PrioritySampling.sample(Seq(1 -> 1.0, 2 -> Double.PositiveInfinity, 3 -> 2.0), m, 1))
+      assert(e.getMessage.contains("got Infinity"), e.getMessage)
+    }
+  }
+
   test("deterministic per seed") {
     val a = PrioritySampling.sample(items, 15, seed = 42)
     val b = PrioritySampling.sample(items, 15, seed = 42)
@@ -139,6 +147,14 @@ class BottomKSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](BottomK[Int](0, 1))
     val bk = BottomK[Int](3, 1)
     assertThrows[IllegalArgumentException](bk.update(1, 0.0))
+  }
+
+  test("rejects an infinite weight, naming it, and leaves the sample as it was") {
+    val bk = BottomK[Int](3, 1)
+    bk.update(1, 2.0)
+    val e = intercept[IllegalArgumentException](bk.update(2, Double.PositiveInfinity))
+    assert(e.getMessage.contains("got Infinity"), e.getMessage)
+    assert(bk.totalWeight == 2.0 && bk.result == BottomKSample(Vector(repro.core.Entry(1, 2.0)), 1.0))
   }
 
   test("an item's membership is stable across arrival orders (hash-determined)") {

@@ -140,11 +140,25 @@ class DisaggregatedSketchSpec extends SparkSpec {
     assert(entries.nonEmpty && entries.size <= 128)
   }
 
-  test("deterministic mode reproduces results on a single partition") {
-    val one = wide.repartition(1)
-    def run() = DisaggregatedSketch.sketch(one, col("item"), col("weight"), m = 50,
-      seed = 11, deterministic = true)
-    assert(run().entries.sortBy(_.item) == run().entries.sortBy(_.item))
+  test("a rerun over the same partitioning gives the same summaries, at 1 and at 7 partitions") {
+    def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+    Seq(1, 7).foreach { parts =>
+      val df = wide.withColumn("g", col("item").cast("int") % 4).repartition(parts)
+      def whole() = {
+        val s = DisaggregatedSketch.sketch(df, col("item"), col("weight"), m = 50, seed = 11)
+        (s.entries.map(e => (e.item, bits(e.count))), bits(s.minCount), bits(s.total))
+      }
+      def grouped() =
+        DisaggregatedSketch.sketchByGroup(df, Seq(col("g")), col("item"), col("weight"), m = 20, seed = 12).collect().sortBy(_.getInt(0)).toVector.map { r =>
+          val es = r.getAs[scala.collection.Seq[org.apache.spark.sql.Row]]("entries")
+            .map(e => (e.getAs[String]("item"), bits(e.getAs[Double]("count")))).toVector
+          (r.getInt(0), es, bits(r.getAs[Double]("minCount")), bits(r.getAs[Double]("total")))
+        }
+      val (w, g) = (whole(), grouped())
+      assert(w._1.size == 50 && g.size == 4 && g.forall(_._2.size == 20))
+      assert(whole() == w, s"sketch differs between runs at $parts partitions")
+      assert(grouped() == g, s"sketchByGroup differs between runs at $parts partitions")
+    }
   }
 
   test("weighted sketching: totals equal the exact weighted sum") {

@@ -6,7 +6,7 @@ import repro.core.UnbiasedSpaceSaving
 /** Pure-JVM tests of the aggregator contract (no SparkSession needed). */
 class SketchAggregatorSpec extends AnyFunSuite {
 
-  private val agg = new UnbiasedSpaceSavingAgg(m = 8, seed = 1, deterministic = true)
+  private val agg = new UnbiasedSpaceSavingAgg(m = 8, seed = 1)
 
   test("zero produces an empty sketch of the right capacity") {
     val b = agg.zero
@@ -57,7 +57,7 @@ class SketchAggregatorSpec extends AnyFunSuite {
   }
 
   test("merge reduces over-capacity unions to m bins with the exact total") {
-    val big = new UnbiasedSpaceSavingAgg(m = 4, seed = 2, deterministic = true)
+    val big = new UnbiasedSpaceSavingAgg(m = 4, seed = 2)
     val b1 = big.zero; val b2 = big.zero
     (0 until 4).foreach(i => big.reduce(b1, ItemWeight(s"x$i", i + 1.0)))
     (4 until 8).foreach(i => big.reduce(b2, ItemWeight(s"x$i", i + 1.0)))
@@ -77,9 +77,9 @@ class SketchAggregatorSpec extends AnyFunSuite {
     assert(s.estimate("a") == 5.0 && s.estimate("b") == 2.0 && s.m == 8)
   }
 
-  test("deterministic aggregators with the same seed build identical sketches") {
+  test("aggregators with the same seed build identical sketches outside a task") {
     def build(): UnbiasedSpaceSaving[String] = {
-      val a = new UnbiasedSpaceSavingAgg(m = 3, seed = 7, deterministic = true)
+      val a = new UnbiasedSpaceSavingAgg(m = 3, seed = 7)
       val b = a.zero
       (0 until 50).foreach(i => a.reduce(b, ItemWeight(s"k${i % 9}", 1.0)))
       b
