@@ -149,11 +149,12 @@ class DisaggregatedSketchSpec extends SparkSpec {
         (s.entries.map(e => (e.item, bits(e.count))), bits(s.minCount), bits(s.total))
       }
       def grouped() =
-        DisaggregatedSketch.sketchByGroup(df, Seq(col("g")), col("item"), col("weight"), m = 20, seed = 12).collect().sortBy(_.getInt(0)).toVector.map { r =>
-          val es = r.getAs[scala.collection.Seq[org.apache.spark.sql.Row]]("entries")
-            .map(e => (e.getAs[String]("item"), bits(e.getAs[Double]("count")))).toVector
-          (r.getInt(0), es, bits(r.getAs[Double]("minCount")), bits(r.getAs[Double]("total")))
-        }
+        DisaggregatedSketch.sketchByGroup(df, Seq(col("g")), col("item"), col("weight"), m = 20, seed = 12)
+          .collect().sortBy(_.getInt(0)).toVector.map { r =>
+            val es = r.getAs[scala.collection.Seq[org.apache.spark.sql.Row]]("entries")
+              .map(e => (e.getAs[String]("item"), bits(e.getAs[Double]("count")))).toVector
+            (r.getInt(0), es, bits(r.getAs[Double]("minCount")), bits(r.getAs[Double]("total")))
+          }
       val (w, g) = (whole(), grouped())
       assert(w._1.size == 50 && g.size == 4 && g.forall(_._2.size == 20))
       assert(whole() == w, s"sketch differs between runs at $parts partitions")
