@@ -165,18 +165,6 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
 
   // ---- bulk operations ------------------------------------------------------
 
-  /** Multiply every count (and the running total) by a positive factor.
-    * Order among bins is preserved, so the heap stays valid. Used by the
-    * forward-decay extension (§5.3) to renormalize exponentially growing
-    * weights.
-    */
-  protected[core] def scaleAll(f: Double): Unit = {
-    require(f > 0, s"scale factor must be positive, got $f")
-    var s = 0
-    while (s < heap.size) { heap.count(s) *= f; s += 1 }
-    totalW *= f
-  }
-
   /** Load pre-existing entries (merge outputs). Requires an empty sketch and
     * at most m entries with positive counts and distinct items; sets
     * totalWeight to `total` (for unbiased merges this is the sum of the input

@@ -54,8 +54,8 @@ object Streams {
       case Order.SortedDescending => rows.reverse
       case Order.Permuted         => shuffled(rows, Rng(seed))
       case Order.TwoHalves =>
-        // Items are split by id parity of n/2: first half = items [0, n/2),
-        // second half = items [n/2, n); each half shuffled independently.
+        // Items split at n/2 by id: first half = items [0, n/2), second
+        // half = items [n/2, n); each half shuffled independently.
         val cut = counts.length / 2
         val (a, b) = rows.partition(_ < cut)
         val rng = Rng(seed)

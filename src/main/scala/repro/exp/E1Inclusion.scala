@@ -36,7 +36,7 @@ object E1Inclusion {
 
     val empirical = inclusion.map(_.toDouble / reps)
     val edges = Vector(0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9999, 1.0001)
-    val rows = edges.sliding(2).toVector.flatMap { case Vector(lo, hi) =>
+    val rows = edges.zip(edges.tail).flatMap { case (lo, hi) =>
       val ids = (0 until nItems).filter(i => pis(i) > lo && pis(i) <= hi)
       if (ids.isEmpty) None
       else Some(BucketRow(

@@ -24,9 +24,7 @@ object E5Criteo {
   final case class BucketRow(bucket: String, marginals: Int, meanFrac: Double,
                              ussRrmse: Double, priorityRrmse: Double)
 
-  final case class Report(rows: Vector[BucketRow], table: String) {
-    def monotoneUss: Boolean = rows.map(_.ussRrmse) == rows.map(_.ussRrmse).sortBy(-(_: Double))
-  }
+  final case class Report(rows: Vector[BucketRow], table: String)
 
   private val Sep = ";"
 
@@ -86,7 +84,7 @@ object E5Criteo {
     }
 
     val edges = Vector(minFrac, 5e-3, 5e-2, 0.25, 0.5, 1.01)
-    val rows = edges.sliding(2).toVector.flatMap { case Vector(lo, hi) =>
+    val rows = edges.zip(edges.tail).flatMap { case (lo, hi) =>
       val qs = queries.zipWithIndex.filter { case ((_, _, t), _) => t / nRows >= lo && t / nRows < hi }
       if (qs.isEmpty) None
       else Some(BucketRow(

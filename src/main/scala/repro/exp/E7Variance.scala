@@ -39,8 +39,9 @@ object E7Variance {
     val truths = eps.map(rg => rg.iterator.map(counts(_).toDouble).sum)
     val aggregated = counts.indices.map(i => i -> counts(i).toDouble)
 
+    // Ascending order ignores the seed, and the sketches only read the stream.
+    val stream = Streams.expand(counts, Streams.Order.SortedAscending, seed)
     val perRep = Exp.parReps(reps) { r =>
-      val stream = Streams.expand(counts, Streams.Order.SortedAscending, seed)
       val uss = UnbiasedSpaceSaving[Int](m, seed * 191 + r)
       val dss = DeterministicSpaceSaving[Int](m, seed * 193 + r)
       var i = 0

@@ -35,15 +35,8 @@ object DisaggregatedSketch {
     * (`itemCol`, `weightCol`), built per-partition and combined with the
     * unbiased merge. Returns the queryable summary.
     */
-  def sketch(df: DataFrame, itemCol: Column, weightCol: Column, m: Int, seed: Long): SketchSummary[String] = {
-    val f = aggUdf(m, seed)
-    val r = df
-      .select(itemCol.cast("string").as("item"), weightCol.cast("double").as("weight"))
-      .agg(f(col("item"), col("weight")).as("sketch"))
-      .head()
-      .getStruct(0)
-    rowToResult(r).toSummary(m)
-  }
+  def sketch(df: DataFrame, itemCol: Column, weightCol: Column, m: Int, seed: Long): SketchSummary[String] =
+    rowToResult(sketchByGroup(df, Nil, itemCol, weightCol, m, seed).head()).toSummary(m)
 
   /** GROUP BY sketching: one sketch per group. Output columns: the group
     * columns plus `entries`, `minCount`, `total`.
@@ -68,8 +61,11 @@ object DisaggregatedSketch {
       .groupBy("item")
       .agg(sum("weight").as("total"))
 
-  /** Collect the exact pre-aggregation as (item, weight) pairs. */
+  /** Collect the exact pre-aggregation as (item, weight) pairs. An item whose
+    * weights are all null has a null total (`SUM` skips nulls) and is left
+    * out, as the sketch leaves it out.
+    */
   def exactPairs(df: DataFrame, itemCol: Column, weightCol: Column): Seq[(String, Double)] =
-    exact(df, itemCol, weightCol).collect().iterator
+    exact(df, itemCol, weightCol).where(col("total").isNotNull).collect().iterator
       .map(r => r.getString(0) -> r.getDouble(1)).toVector
 }

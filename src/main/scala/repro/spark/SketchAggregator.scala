@@ -6,9 +6,10 @@ import org.apache.spark.sql.expressions.Aggregator
 import repro.core.{Entry, Merge, Rng, SketchSummary, UnbiasedSpaceSaving}
 
 /** One input row of the disaggregated stream: an item key and a weight (1.0
-  * for plain counting). A zero weight adds nothing and is skipped; a negative,
-  * NaN or infinite one fails the job, naming the weight. A null item is
-  * counted as one more item, with a null label.
+  * for plain counting). A zero weight adds nothing and is skipped; a null
+  * weight reaches `reduce` as 0.0 and is skipped too, as `SUM` skips it. A
+  * negative, NaN or infinite weight fails the job, naming the weight. A null
+  * item is counted as one more item, with a null label.
   */
 final case class ItemWeight(item: String, weight: Double)
 

@@ -70,6 +70,32 @@ class DisaggregatedSketchSpec extends SparkSpec {
     zeros.unpersist()
   }
 
+  test("null weights are skipped: sketch, sketchByGroup and exactPairs equal the non-null GROUP BY (DuckDB oracle)") {
+    // Key 1 has only null weights; the other keys mix null, unit and weight-2 rows.
+    val nulls = SynthData.uniformKeys(spark, rows = 4000, nKeys = 40, seed = 9)
+      .select(col("k").cast("string").as("item"),
+              when(col("k") === 1 || col("v") < 0.3, lit(null).cast("double"))
+                .when(col("v") < 0.6, 2.0).otherwise(1.0).as("weight"))
+      .repartition(7).cache()
+    val oracle = "SELECT item, CAST(sum(CAST(weight AS DOUBLE)) AS DOUBLE) AS total FROM t " +
+      "WHERE weight IS NOT NULL GROUP BY item"
+    assert(nulls.where(col("weight").isNull).count() > 0)
+
+    val summary = DisaggregatedSketch.sketch(nulls, col("item"), col("weight"), m = 256, seed = 15)
+    assert(!summary.contains("1"))
+    Oracle.assertEquivalent(summary.entries.map(e => (e.item, e.count)).toDF("item", "total"), oracle, "t" -> nulls)
+
+    val grouped = DisaggregatedSketch.sketchByGroup(nulls.withColumn("g", col("item").cast("int") % 3),
+      Seq(col("g")), col("item"), col("weight"), m = 256, seed = 16)
+    Oracle.assertEquivalent(grouped.select(explode(col("entries")).as("e"))
+      .select(col("e.item").as("item"), col("e.count").as("total")), oracle, "t" -> nulls)
+
+    val pairs = DisaggregatedSketch.exactPairs(nulls, col("item"), col("weight"))
+    assert(!pairs.exists(_._1 == "1"))
+    Oracle.assertEquivalent(pairs.toDF("item", "total"), oracle, "t" -> nulls)
+    nulls.unpersist()
+  }
+
   test("sketch total weight equals the row count even far below the distinct count") {
     val distinct = wide.select("item").distinct().count()
     val summary = DisaggregatedSketch.sketch(wide, col("item"), col("weight"), m = 100, seed = 3)
