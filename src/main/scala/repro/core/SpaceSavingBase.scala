@@ -166,15 +166,17 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   // ---- bulk operations ------------------------------------------------------
 
   /** Load pre-existing entries (merge outputs). Requires an empty sketch and
-    * at most m entries with positive counts and distinct items; sets
-    * totalWeight to `total` (for unbiased merges this is the sum of the input
-    * sketches' totals).
+    * at most m entries with positive, finite counts and distinct items; sets
+    * totalWeight to `total`, which must be finite and non-negative (for
+    * unbiased merges it is the sum of the input sketches' totals). Infinite
+    * counts are rejected for the reason `update` rejects infinite weights.
     */
   protected[core] def load(entries: Seq[Entry[T]], total: Double): Unit = {
     require(heap.size == 0, "load requires an empty sketch")
     require(entries.size <= m, s"cannot load ${entries.size} entries into $m bins")
+    require(total >= 0 && total < Double.PositiveInfinity, s"total weight must be finite and non-negative, got $total")
     entries.foreach { e =>
-      require(e.count > 0, s"entry counts must be positive, got $e")
+      require(e.count > 0 && e.count < Double.PositiveInfinity, s"entry counts must be positive and finite, got $e")
       val x = e.item.asInstanceOf[AnyRef]
       require(find(x) < 0, s"duplicate item ${e.item} in load")
       val nb = heap.size
@@ -189,13 +191,26 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
 /** Binary min-heap of (count, tie) keys, each carrying an int id in
   * [0, capacity). Keys sit inline in heap order, so comparisons read two
   * parallel arrays instead of following a bin index; `slotOf(id)` is where an
-  * id currently sits. Sifts move a hole instead of swapping, with the same
-  * comparisons as a swap-based sift, so the heap shape is that of the
-  * textbook version step for step.
+  * id currently sits. Sifts move a hole instead of swapping.
+  *
+  * Contract: keys compare by count, then tie, and every sift picks the same
+  * slots as the textbook swap-based sift, equal keys included: a key sinks
+  * into its smaller child (the right one only when strictly smaller) while
+  * that child is strictly smaller, and rises while strictly smaller than its
+  * parent. So which slot each id sits in, and every output read from the
+  * heap, depends only on the operations and their (count, tie) keys, not on
+  * how a sift is coded.
+  *
+  * `siftDown` picks the smaller child without a branch: the tie keys are
+  * random, so on a stream whose bins mostly share N̂_min the "right child
+  * wins" outcome is a coin flip that a predicted branch gets wrong half the
+  * time. It reads the right child's key before knowing the child exists,
+  * which is why `count` and `tie` carry one spare slot past `capacity`;
+  * whatever sits there is masked out of the pick.
   */
 private[core] final class KeyHeap(capacity: Int) extends Serializable {
-  val count = new Array[Double](capacity)
-  private val tie = new Array[Long](capacity)
+  val count = new Array[Double](capacity + 1)
+  private val tie = new Array[Long](capacity + 1)
   val id = new Array[Int](capacity)
   val slotOf = new Array[Int](capacity)
   var size = 0
@@ -231,17 +246,20 @@ private[core] final class KeyHeap(capacity: Int) extends Serializable {
   /** Sift (c, t, i) down from the hole at `s0`; returns its final slot. */
   private def siftDown(s0: Int, c: Double, t: Long, i: Int): Int = {
     var s = s0
+    var l = 2 * s + 1
     var done = false
-    while (!done) {
-      val l = 2 * s + 1
+    while (!done && l < size) {
       val r = l + 1
-      var sm = -1
-      var mc = c
-      var mt = t
-      if (l < size && less(count(l), tie(l), mc, mt)) { sm = l; mc = count(l); mt = tie(l) }
-      if (r < size && less(count(r), tie(r), mc, mt)) { sm = r; mc = count(r); mt = tie(r) }
-      if (sm < 0) done = true
-      else { place(s, mc, mt, id(sm)); s = sm }
+      // Smaller child, right only on a strict win (as the textbook pick);
+      // non-short-circuit & and | keep it a data dependency, not a branch.
+      val ch = l + ((r < size) & ((count(r) < count(l)) | ((count(r) == count(l)) & (tie(r) < tie(l))))).compare(false)
+      val cc = count(ch)
+      val ct = tie(ch)
+      if (less(cc, ct, c, t)) {
+        place(s, cc, ct, id(ch))
+        s = ch
+        l = 2 * s + 1
+      } else done = true
     }
     place(s, c, t, i)
     s

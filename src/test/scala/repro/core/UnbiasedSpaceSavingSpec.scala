@@ -240,6 +240,17 @@ class UnbiasedSpaceSavingSpec extends AnyFunSuite {
       UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, 1.0), Entry(1, 2.0)), 3.0))
     assertThrows[IllegalArgumentException](
       UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, -1.0)), -1.0))
+    // Non-finite counts are rejected, naming the entry, as update rejects
+    // infinite weights; so is a non-finite or negative total.
+    Seq(Double.PositiveInfinity, Double.NaN, 0.0).foreach { c =>
+      val e = intercept[IllegalArgumentException](
+        UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, 1.0), Entry(2, c)), 1.0))
+      assert(e.getMessage.contains(s"got ${Entry(2, c)}"), e.getMessage)
+    }
+    Seq(Double.PositiveInfinity, Double.NaN, -1.0).foreach { t =>
+      val e = intercept[IllegalArgumentException](UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, 1.0)), t))
+      assert(e.getMessage.contains(s"got $t"), e.getMessage)
+    }
   }
 
   test("updateAll matches repeated update") {

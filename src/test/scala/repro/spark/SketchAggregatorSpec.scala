@@ -67,6 +67,34 @@ class SketchAggregatorSpec extends AnyFunSuite {
     assert(math.abs(m.entriesVector.map(_.count).sum - 36.0) < 1e-9)
   }
 
+  test("in the exact regime every merge order of four partials gives the same bins and total") {
+    // Dyadic weights, so every summation order is exact in floating point.
+    val rows = Seq(
+      Seq("a" -> 1.5, "b" -> 2.0, "a" -> 0.25),
+      Seq("b" -> 4.0, "c" -> 0.5, (null: String) -> 1.0),
+      Seq("d" -> 3.0, "a" -> 1.0, "e" -> 0.75, "b" -> 0.125),
+      Seq("c" -> 2.5, "f" -> 8.0, (null: String) -> 0.5, "g" -> 1.0))
+    val union = rows.flatten.map(_._1).distinct
+    assert(union.size <= 8, "the union fits in m bins")
+    val parts = rows.map { rs =>
+      val b = agg.zero
+      rs.foreach { case (i, w) => agg.reduce(b, ItemWeight(i, w)) }
+      b
+    }
+    val expected = rows.flatten.groupMapReduce(_._1)(_._2)(_ + _)
+    val results = parts.permutations.map { order =>
+      val merged = order.reduceLeft(agg.merge)
+      (merged.entriesVector.map(e => (e.item, e.count)).sortBy { case (i, c) => (c, String.valueOf(i)) },
+        merged.totalWeight)
+    }.toSeq
+    assert(results.size == 24)
+    results.foreach { case (bins, total) =>
+      assert(bins.toMap == expected && bins.size == union.size)
+      assert(total == rows.flatten.map(_._2).sum)
+    }
+    assert(results.distinct.size == 1)
+  }
+
   test("finish emits entries, minCount and total that round-trip to a summary") {
     val b = agg.zero
     Seq("a" -> 5.0, "b" -> 2.0).foreach { case (i, w) => agg.reduce(b, ItemWeight(i, w)) }
