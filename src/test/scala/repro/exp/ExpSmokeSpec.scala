@@ -1,5 +1,6 @@
 package repro.exp
 
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 
@@ -7,6 +8,16 @@ import repro.SparkSpec
   * runs (with shape assertions against the paper) live in bench/.
   */
 class ExpSmokeSpec extends AnyFunSuite {
+
+  private lazy val e2 = E2Skew.run(nItems = 150, shapes = Seq(0.5, 1.0), targetTotal = 5000L,
+    m = 30, subsetSize = 20, nSubsets = 6, reps = 10, seed = 2)
+  private lazy val e3 = E3BottomK.run(nItems = 150, targetTotal = 5000L, m = 20, subsetSize = 20,
+    nSubsets = 6, reps = 10, seed = 3)
+  private lazy val e4 = E4Priority.run(nItems = 150, targetTotal = 5000L, m = 30, subsetSize = 20,
+    nSubsets = 6, reps = 10, seed = 4)
+
+  private def sha(s: String): String =
+    MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
 
   test("E1 inclusion harness produces buckets that cover theory and experiment") {
     val rep = E1Inclusion.run(nItems = 100, targetTotal = 5000L, m = 20, reps = 20, seed = 1)
@@ -19,24 +30,26 @@ class ExpSmokeSpec extends AnyFunSuite {
   }
 
   test("E2 skew harness produces one tercile row per shape") {
-    val rep = E2Skew.run(nItems = 150, shapes = Seq(0.5, 1.0), targetTotal = 5000L,
-      m = 30, subsetSize = 20, nSubsets = 6, reps = 10, seed = 2)
-    assert(rep.rows.size == 6)
-    rep.rows.foreach(r => assert(r.rrmse >= 0))
+    assert(e2.rows.size == 6)
+    e2.rows.foreach(r => assert(r.rrmse >= 0))
   }
 
   test("E3 bottom-k harness reports finite ratios") {
-    val rep = E3BottomK.run(nItems = 150, targetTotal = 5000L, m = 20, subsetSize = 20,
-      nSubsets = 6, reps = 10, seed = 3)
-    assert(rep.rows.size == 3)
-    assert(rep.overallRatio > 0 && !rep.overallRatio.isNaN)
+    assert(e3.rows.size == 3)
+    assert(e3.overallRatio > 0 && !e3.overallRatio.isNaN)
   }
 
   test("E4 priority harness reports finite ratios") {
-    val rep = E4Priority.run(nItems = 150, targetTotal = 5000L, m = 30, subsetSize = 20,
-      nSubsets = 6, reps = 10, seed = 4)
-    assert(rep.rows.size == 3)
-    assert(rep.overallRatio > 0 && !rep.overallRatio.isNaN)
+    assert(e4.rows.size == 3)
+    assert(e4.overallRatio > 0 && !e4.overallRatio.isNaN)
+  }
+
+  // The rendered tables, digits included, so a refactor of the shared harness
+  // code must print the very same tables.
+  test("E2, E3 and E4 tables are pinned byte for byte") {
+    assert(sha(e2.table) == "59ad4180c16b3aa429bb10925ceec868db6cac5359127f3bb2b405f22da7a098")
+    assert(sha(e3.table) == "4d954feda736f372d2ebd37a543a7ad07beed4608206f89a51d38c29580f6d1b")
+    assert(sha(e4.table) == "46663314414906f0f504c740e85a7c1d74f32f67cae628435c6877bad515991a")
   }
 
   test("E6 pathological harness reports ten deciles and an error row") {
