@@ -2,10 +2,10 @@ package repro.core
 
 import scala.collection.mutable
 
-/** One item kept by `Merge.priorityReduction`: its original weight and its
-  * Horvitz-Thompson adjusted weight `max(weight, 1/τ)`.
+/** One item of a Horvitz-Thompson sample (`repro.sampling.HtSample`): its
+  * exact weight and its adjusted weight, which is never below it.
   */
-final case class PriorityEntry[T](item: T, weight: Double, adjusted: Double)
+final case class HtEntry[T](item: T, weight: Double, adjusted: Double)
 
 /** Merge / size-reduction operations for Space Saving sketches (§5.3, §5.5).
   *
@@ -93,19 +93,19 @@ object Merge {
     * nothing is drawn. Weights must be positive and finite. Returns the kept
     * items and τ.
     */
-  def priorityReduction[T](items: Iterable[(T, Double)], m: Int, rng: Rng): (Vector[PriorityEntry[T]], Double) = {
+  def priorityReduction[T](items: Iterable[(T, Double)], m: Int, rng: Rng): (Vector[HtEntry[T]], Double) = {
     require(m > 0, s"sample size must be positive, got $m")
     items.foreach { case (i, w) =>
       require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w for item $i")
     }
-    if (items.sizeIs <= m) (items.iterator.map { case (i, w) => PriorityEntry(i, w, w) }.toVector, 0.0)
+    if (items.sizeIs <= m) (items.iterator.map { case (i, w) => HtEntry(i, w, w) }.toVector, 0.0)
     else {
       val prioritized = items.iterator.map { case (i, w) =>
         val u = math.max(rng.nextDouble(), Double.MinPositiveValue)
         (u / w, i, w)
       }.toArray.sortBy(_._1)
       val tau = prioritized(m)._1
-      (prioritized.iterator.take(m).map { case (_, i, w) => PriorityEntry(i, w, math.max(w, 1.0 / tau)) }.toVector, tau)
+      (prioritized.iterator.take(m).map { case (_, i, w) => HtEntry(i, w, math.max(w, 1.0 / tau)) }.toVector, tau)
     }
   }
 

@@ -1,6 +1,8 @@
 package repro.exp
 
+import repro.core.UnbiasedSpaceSaving
 import repro.data.Streams
+import repro.sampling.HtSample
 
 /** Shared utilities for the table-reproduction harnesses. */
 object Exp {
@@ -34,6 +36,40 @@ object Exp {
   /** True subset sum over item ids. */
   def subsetTruth(counts: Array[Long], subset: Set[Int]): Double =
     subset.iterator.map(counts(_).toDouble).sum
+
+  /** `rows` sorted by `key` and cut into three slices of n/3 rows each, the
+    * last taking the remainder: the subset-size terciles of tables T2–T4.
+    */
+  def terciles[A](rows: Seq[A])(key: A => Double): Vector[Seq[A]] = {
+    val sorted = rows.sortBy(key)
+    val n = sorted.size / 3
+    Vector(sorted.take(n), sorted.slice(n, 2 * n), sorted.drop(2 * n))
+  }
+
+  /** USS against a Horvitz-Thompson comparator (tables T3 and T4). Rep r
+    * permutes `counts` into a stream with seed `seeds._1 + r`, feeds it to USS
+    * (m bins, seed `seeds._2 + r`) and to `comparator(stream, r)`. Returns per
+    * truth tercile of `subsets` (mean truth/total, USS RRMSE, comparator
+    * RRMSE), then the mean USS and comparator RRMSE over all subsets.
+    */
+  def ussVersus(counts: Array[Long], m: Int, subsets: Seq[Set[Int]], reps: Int, seeds: (Long, Long))
+               (comparator: (Array[Int], Int) => HtSample[Int]): (Vector[(Double, Double, Double)], Double, Double) = {
+    val total = counts.sum.toDouble
+    val truths = subsets.map(subsetTruth(counts, _))
+    val perRep = parReps(reps) { r =>
+      val stream = Streams.expand(counts, Streams.Order.Permuted, seeds._1 + r)
+      val uss = UnbiasedSpaceSaving[Int](m, seeds._2 + r)
+      uss.updateAll(stream)
+      val us = uss.summary
+      val other = comparator(stream, r)
+      subsets.map(sub => (us.subsetSumOf(sub).value, other.subsetSumOf(sub).value))
+    }
+    val perSubset = subsets.indices.map { j =>
+      (truths(j), rrmse(perRep.map(_(j)._1), truths(j)), rrmse(perRep.map(_(j)._2), truths(j)))
+    }
+    val rows = terciles(perSubset)(_._1).map(s => (mean(s.map(_._1 / total)), mean(s.map(_._2)), mean(s.map(_._3))))
+    (rows, mean(perSubset.map(_._2)), mean(perSubset.map(_._3)))
+  }
 
   /** Run `reps` independent replicates in parallel, collecting results. */
   def parReps[A](reps: Int)(body: Int => A): Vector[A] = {

@@ -43,16 +43,15 @@ object E10Tpch {
     val sqErr = scala.collection.mutable.HashMap.empty[String, Vector[Double]].withDefaultValue(Vector())
     for (s <- 0 until seeds) {
       val uss = DisaggregatedSketch.sketch(li, col("l_orderkey"), col("l_quantity"), m, seed * 401 + s)
-      val pri = PrioritySampling.sample(pairs, m, seed * 409 + s)
       val bk = BottomK[String](m, seed * 419 + s)
       li.select(col("l_orderkey").cast("string"), col("l_quantity")).toLocalIterator().forEachRemaining { r =>
         bk.update(r.getString(0), r.getDouble(1))
       }
-      val bks = bk.result
       def modPred(r: Int)(item: String): Boolean = item.toDouble.toLong % 101 == r
       sqErr("uss") ++= relErrs(r => uss.subsetSum(modPred(r)).value)
-      sqErr("priority") ++= relErrs(r => pri.subsetSum(modPred(r)).value)
-      sqErr("bottom-k") ++= relErrs(r => bks.subsetSum(modPred(r)).value)
+      Seq("priority" -> PrioritySampling.sample(pairs, m, seed * 409 + s), "bottom-k" -> bk.result).foreach {
+        case (method, ht) => sqErr(method) ++= relErrs(r => ht.subsetSum(modPred(r)).value)
+      }
     }
 
     val rows = Vector("uss", "priority", "bottom-k").map { method =>

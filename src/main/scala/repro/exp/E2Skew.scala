@@ -34,8 +34,7 @@ object E2Skew {
       val estimates = Exp.parReps(reps) { r =>
         val stream = Streams.expand(counts, Streams.Order.Permuted, seed * 31 + r)
         val sk = UnbiasedSpaceSaving[Int](m, seed * 37 + 1000 * (shape * 100).toLong + r)
-        var i = 0
-        while (i < stream.length) { sk.update(stream(i)); i += 1 }
+        sk.updateAll(stream)
         val s = sk.summary
         subsets.map(sub => s.subsetSumOf(sub).value)
       }
@@ -43,10 +42,7 @@ object E2Skew {
       val perSubsetRrmse = subsets.indices.map { j =>
         (truths(j), Exp.rrmse(estimates.map(_(j)), truths(j)))
       }
-      val sorted = perSubsetRrmse.sortBy(_._1)
-      val tercile = sorted.size / 3
-      (0 until 3).map { b =>
-        val slice = sorted.slice(b * tercile, if (b == 2) sorted.size else (b + 1) * tercile)
+      Exp.terciles(perSubsetRrmse)(_._1).zipWithIndex.map { case (slice, b) =>
         SkewRow(shape, s"T$b", Exp.mean(slice.map(_._1 / total)), Exp.mean(slice.map(_._2)))
       }
     }.toVector

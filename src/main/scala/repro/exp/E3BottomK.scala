@@ -1,6 +1,5 @@
 package repro.exp
 
-import repro.core.UnbiasedSpaceSaving
 import repro.data.Streams
 import repro.sampling.BottomK
 
@@ -23,39 +22,17 @@ object E3BottomK {
           m: Int = 100, subsetSize: Int = 100, nSubsets: Int = 30, reps: Int = 100,
           seed: Long = 41): Report = {
     val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
-    val total = counts.sum.toDouble
     val subsets = Streams.randomSubsets(nItems, subsetSize, nSubsets, seed)
-    val truths = subsets.map(Exp.subsetTruth(counts, _))
-
-    val perRep = Exp.parReps(reps) { r =>
-      val stream = Streams.expand(counts, Streams.Order.Permuted, seed * 131 + r)
-      val uss = UnbiasedSpaceSaving[Int](m, seed * 137 + r)
+    val (terciles, uss, bottomK) = Exp.ussVersus(counts, m, subsets, reps, (seed * 131, seed * 137)) { (stream, r) =>
       val bk = BottomK[Int](m, seed * 139 + r)
-      var i = 0
-      while (i < stream.length) { uss.update(stream(i)); bk.update(stream(i)); i += 1 }
-      val us = uss.summary
-      val bs = bk.result
-      subsets.map(sub => (us.subsetSumOf(sub).value, bs.subsetSumOf(sub).value))
+      stream.foreach(bk.update(_))
+      bk.result
     }
-
-    val perSubset = subsets.indices.map { j =>
-      (truths(j),
-       Exp.rrmse(perRep.map(_(j)._1), truths(j)),
-       Exp.rrmse(perRep.map(_(j)._2), truths(j)))
-    }
-    val sorted = perSubset.sortBy(_._1)
-    val tercile = sorted.size / 3
-    val rows = (0 until 3).map { b =>
-      val slice = sorted.slice(b * tercile, if (b == 2) sorted.size else (b + 1) * tercile)
-      CompareRow(s"T$b", Exp.mean(slice.map(_._1 / total)),
-                 Exp.mean(slice.map(_._2)), Exp.mean(slice.map(_._3)))
-    }.toVector
-
-    val overall = Exp.mean(perSubset.map(_._3)) / Exp.mean(perSubset.map(_._2))
+    val rows = terciles.zipWithIndex.map { case ((frac, u, b), i) => CompareRow(s"T$i", frac, u, b) }
     val table = Tab.render(
       s"T3 / fig.4 — USS vs bottom-k uniform item sampling (shape=$shape m=k=$m, $reps reps)",
       Seq("subset-size tercile", "mean truth/total", "USS RRMSE", "bottom-k RRMSE", "ratio"),
       rows.map(r => Seq(r.sizeBucket, r.meanTruthFrac, r.ussRrmse, r.bottomKRrmse, r.ratio)))
-    Report(rows, overall, table)
+    Report(rows, bottomK / uss, table)
   }
 }

@@ -1,6 +1,5 @@
 package repro.exp
 
-import repro.core.UnbiasedSpaceSaving
 import repro.data.Streams
 import repro.sampling.PrioritySampling
 
@@ -23,39 +22,16 @@ object E4Priority {
           m: Int = 200, subsetSize: Int = 100, nSubsets: Int = 30, reps: Int = 200,
           seed: Long = 59): Report = {
     val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
-    val total = counts.sum.toDouble
     val aggregated = counts.indices.map(i => i -> counts(i).toDouble)
     val subsets = Streams.randomSubsets(nItems, subsetSize, nSubsets, seed)
-    val truths = subsets.map(Exp.subsetTruth(counts, _))
-
-    val perRep = Exp.parReps(reps) { r =>
-      val stream = Streams.expand(counts, Streams.Order.Permuted, seed * 149 + r)
-      val uss = UnbiasedSpaceSaving[Int](m, seed * 151 + r)
-      var i = 0
-      while (i < stream.length) { uss.update(stream(i)); i += 1 }
-      val us = uss.summary
-      val ps = PrioritySampling.sample(aggregated, m, seed * 157 + r)
-      subsets.map(sub => (us.subsetSumOf(sub).value, ps.subsetSumOf(sub).value))
+    val (terciles, uss, priority) = Exp.ussVersus(counts, m, subsets, reps, (seed * 149, seed * 151)) { (_, r) =>
+      PrioritySampling.sample(aggregated, m, seed * 157 + r)
     }
-
-    val perSubset = subsets.indices.map { j =>
-      (truths(j),
-       Exp.rrmse(perRep.map(_(j)._1), truths(j)),
-       Exp.rrmse(perRep.map(_(j)._2), truths(j)))
-    }
-    val sorted = perSubset.sortBy(_._1)
-    val tercile = sorted.size / 3
-    val rows = (0 until 3).map { b =>
-      val slice = sorted.slice(b * tercile, if (b == 2) sorted.size else (b + 1) * tercile)
-      CompareRow(s"T$b", Exp.mean(slice.map(_._1 / total)),
-                 Exp.mean(slice.map(_._2)), Exp.mean(slice.map(_._3)))
-    }.toVector
-
-    val overall = Exp.mean(perSubset.map(_._2)) / Exp.mean(perSubset.map(_._3))
+    val rows = terciles.zipWithIndex.map { case ((frac, u, p), i) => CompareRow(s"T$i", frac, u, p) }
     val table = Tab.render(
       s"T4 / fig.5 — USS (disaggregated) vs priority sampling (pre-aggregated) (shape=$shape m=$m, $reps reps)",
       Seq("subset-size tercile", "mean truth/total", "USS RRMSE", "priority RRMSE", "USS/priority"),
       rows.map(r => Seq(r.sizeBucket, r.meanTruthFrac, r.ussRrmse, r.priorityRrmse, r.ratio)))
-    Report(rows, overall, table)
+    Report(rows, uss / priority, table)
   }
 }

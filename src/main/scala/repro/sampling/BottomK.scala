@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.{Entry, Estimate, Rng}
+import repro.core.{HtEntry, Rng}
 import scala.collection.immutable.TreeMap
 
 /** Bottom-k sketch (Cohen & Kaplan 2007) with uniform per-item hashes —
@@ -15,7 +15,7 @@ import scala.collection.immutable.TreeMap
   *
   * Subset-sum estimator (conditional Horvitz-Thompson): with τ the (k+1)-th
   * smallest distinct hash, every sampled item has conditional inclusion
-  * probability τ, giving N̂_S = Σ_{i∈S∩sample} w_i / τ.
+  * probability τ, giving N̂_S = Σ_{i∈S∩sample} w_i / τ (`HtSample`).
   */
 final class BottomK[T](val k: Int, seed: Long) extends Serializable {
   require(k > 0, s"sample size must be positive, got k=$k")
@@ -65,44 +65,13 @@ final class BottomK[T](val k: Int, seed: Long) extends Serializable {
     slot.update(item, key)
   }
 
-  /** The k retained items (smallest hashes) with exact counts, and τ. */
-  def result: BottomKSample[T] = {
-    if (retained.size <= k) {
-      // Fewer than k+1 distinct items seen: the sample is exhaustive, τ = 1.
-      BottomKSample(retained.valuesIterator.map { case (i, c) => Entry(i, c) }.toVector, 1.0)
-    } else {
-      val tau = retained.last._1._1
-      BottomKSample(retained.init.valuesIterator.map { case (i, c) => Entry(i, c) }.toVector, tau)
-    }
-  }
-}
-
-/** Finished bottom-k sample: entries hold exact per-item counts; `tau` is the
-  * (k+1)-th smallest hash (1.0 when exhaustive).
-  */
-final case class BottomKSample[T](entries: Vector[Entry[T]], tau: Double) {
-
-  private lazy val index: Map[T, Double] = entries.iterator.map(e => e.item -> e.count).toMap
-
-  def contains(item: T): Boolean = index.contains(item)
-
-  /** HT subset-sum estimate Σ w_i/τ with the Poisson-style variance estimate
-    * Σ (w_i/τ)²·(1−τ).
+  /** The k retained items (smallest hashes) in hash order, each with its exact
+    * count w and adjusted weight w/τ; τ = 1 if fewer than k+1 items were seen.
     */
-  def subsetSum(pred: T => Boolean): Estimate = {
-    var sum = 0.0
-    var varAcc = 0.0
-    entries.foreach { e =>
-      if (pred(e.item)) {
-        val ht = e.count / tau
-        sum += ht
-        varAcc += ht * ht * (1 - tau)
-      }
-    }
-    Estimate(sum, varAcc)
+  def result: HtSample[T] = {
+    val (kept, tau) = if (retained.size <= k) (retained, 1.0) else (retained.init, retained.last._1._1)
+    HtSample(kept.valuesIterator.map { case (i, c) => HtEntry(i, c, c / tau) }.toVector, tau)
   }
-
-  def subsetSumOf(items: Set[T]): Estimate = subsetSum(items.contains)
 }
 
 object BottomK {

@@ -5,7 +5,7 @@ import java.security.MessageDigest
 import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Streams
-import repro.sampling.{BottomK, BottomKSample, Pps, PrioritySample, PrioritySampling}
+import repro.sampling.{BottomK, HtSample, Pps, PrioritySampling}
 
 /** Pins the exact seeded outputs of the sketches and of the unbiased merges:
   * every bin in `entriesVector` order with its count's bit pattern, plus
@@ -118,23 +118,23 @@ class GoldenOutputSpec extends AnyFunSuite {
     assert(sha(render(a)) == "ed697aa0c2d64b8cb235cd0d5efffb58a0021dbc68929d32735a4b7e27664bb0")
   }
 
-  private def render[T](b: BottomKSample[T]): String =
-    b.entries.map(e => s"${e.item}:${bits(e.count)}").mkString(",") + s"|tau=${bits(b.tau)}"
+  private def renderBottomK[T](b: HtSample[T]): String =
+    b.entries.map(e => s"${e.item}:${bits(e.weight)}").mkString(",") + s"|tau=${bits(b.tau)}"
 
   test("seeded bottom-k samples over a Weibull stream are pinned") {
     val stream = Streams.expand(Streams.weibullCounts(3000, 0.3, scale = 20.0), Streams.Order.Permuted, 31)
     val ints = BottomK[Int](40, seed = 32)
     stream.foreach(ints.update(_))
-    assert(sha(render(ints.result)) == "bbe48a4b64ce77ae2da9c3cca126b0ab329b433b71998db4fb1a0a22059cdf5b")
+    assert(sha(renderBottomK(ints.result)) == "bbe48a4b64ce77ae2da9c3cca126b0ab329b433b71998db4fb1a0a22059cdf5b")
 
     val strs = BottomK[String](25, seed = -33)
     val r = new SplittableRandom(34)
     stream.foreach(x => strs.update("w" + x, 0.05 + 5 * r.nextDouble()))
-    assert(sha(render(strs.result)) == "f6b1c8892e7c1d7ee01dfc728dda2b2a74234527812bbc3e102e762ef269929c")
+    assert(sha(renderBottomK(strs.result)) == "f6b1c8892e7c1d7ee01dfc728dda2b2a74234527812bbc3e102e762ef269929c")
 
     val small = BottomK[Int](5, seed = 35)
     stream.take(2000).foreach(small.update(_))
-    assert(render(small.result) == "2738:4000000000000000,2386:3ff0000000000000,2789:3ff0000000000000,2950:4020000000000000,2186:3ff0000000000000|tau=3f91b06074589f80")
+    assert(renderBottomK(small.result) == "2738:4000000000000000,2386:3ff0000000000000,2789:3ff0000000000000,2950:4020000000000000,2186:3ff0000000000000|tau=3f91b06074589f80")
   }
 
   /** Every query answer of `s` over `sets` and the probe items, as bits. */
@@ -187,9 +187,9 @@ class GoldenOutputSpec extends AnyFunSuite {
     assert(sha(sample.map(e => s"${e.item}:${bits(e.count)}").mkString(",")) == "2a563bd4b6d575f4603a6bf1c2ca934e455f02a5f5c4f247eec6ad5d66925354")
   }
 
-  private def render[T](p: PrioritySample[T]): String =
+  private def render[T](p: HtSample[T]): String =
     p.entries.map(e => s"${e.item}:${bits(e.weight)}/${bits(e.adjusted)}").mkString(",") +
-      s"|tau=${bits(p.threshold)}"
+      s"|tau=${bits(p.tau)}"
 
   test("priority samples are pinned: entries, adjusted weights and tau, exhaustive and sampled") {
     val r = new SplittableRandom(46)

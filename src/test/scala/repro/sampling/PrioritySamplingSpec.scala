@@ -2,6 +2,7 @@ package repro.sampling
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil._
+import repro.core.Estimate
 import scala.util.Random
 
 class PrioritySamplingSpec extends AnyFunSuite {
@@ -13,7 +14,7 @@ class PrioritySamplingSpec extends AnyFunSuite {
     val s = PrioritySampling.sample(items.take(10), m = 20, seed = 1)
     assert(s.entries.size == 10)
     s.entries.foreach(e => assert(e.adjusted == e.weight))
-    assert(s.threshold == 0.0)
+    assert(s.tau == 0.0)
     assert(s.subsetSum(_ => true).value == items.take(10).map(_._2).sum)
     assert(s.subsetSum(_ => true).variance == 0.0)
   }
@@ -118,21 +119,52 @@ class BottomKSpec extends AnyFunSuite {
       val bk = BottomK[Int](30, seed = 11)
       shuffledStream(counts, seed).foreach(bk.update(_))
       val truth = counts.zipWithIndex.map { case (c, i) => i -> c.toDouble }.toMap
-      bk.result.entries.foreach(e => assert(e.count == truth(e.item), s"item ${e.item}"))
+      bk.result.entries.foreach(e => assert(e.weight == truth(e.item), s"item ${e.item}"))
     }
   }
 
+  // 300 items with counts 1..13, every 4th in the query subset.
+  private val counts = (0 until 300).map(i => (i % 13 + 1).toLong)
+  private val subset = (0 until 300 by 4).toSet
+  private val truth = subset.toSeq.map(counts(_).toDouble).sum
+
+  /** A k = 40 sample of `counts` in one fixed arrival order. */
+  private def sample(seed: Long): HtSample[Int] = {
+    val bk = BottomK[Int](40, seed)
+    shuffledStream(counts, seed = 31).foreach(bk.update(_))
+    bk.result
+  }
+
   test("subset sums are unbiased across hash seeds (Monte Carlo)") {
-    val counts = (0 until 300).map(i => (i % 13 + 1).toLong)
-    val subset = (0 until 300 by 4).toSet
-    val truth = subset.toSeq.map(counts(_).toDouble).sum
     val reps = 2000
-    val ests = (0 until reps).map { r =>
-      val bk = BottomK[Int](40, seed = 1000 + r)
-      shuffledStream(counts, seed = 31).foreach(bk.update(_))
-      bk.result.subsetSumOf(subset).value
-    }
+    val ests = (0 until reps).map(r => sample(1000 + r).subsetSumOf(subset).value)
     assertUnbiased(ests, truth, z = 4.5, label = "bottom-k subset")
+  }
+
+  test("the variance estimate is Σ (w/τ)²·(1−τ) over the sampled items of the subset") {
+    (0 until 20).foreach { r =>
+      val s = sample(500 + r)
+      assert(s.tau < 1.0)
+      val expected = s.entries.iterator.filter(e => subset(e.item))
+        .map(e => (e.weight / s.tau) * (e.weight / s.tau) * (1 - s.tau)).sum
+      val got = s.subsetSumOf(subset).variance
+      assert(math.abs(got - expected) <= 1e-12 * expected, s"seed ${500 + r}: $got vs $expected")
+    }
+  }
+
+  test("an exhaustive sample has zero variance") {
+    val bk = BottomK[Int](10, seed = 3)
+    (0 until 500).foreach(i => bk.update(i % 8, 1.0 + i % 3))
+    val s = bk.result
+    assert(s.tau == 1.0 && s.entries.size == 8)
+    assert(s.subsetSum(_ => true) == Estimate(bk.totalWeight, 0.0))
+    assert(s.subsetSumOf(Set(0, 3, 5)).variance == 0.0)
+  }
+
+  test("normal 95% intervals from the variance estimate cover (Monte Carlo)") {
+    val reps = 2000
+    val cover = (0 until reps).count(r => sample(1000 + r).subsetSumOf(subset).covers(truth))
+    assert(cover.toDouble / reps >= 0.85, s"coverage ${cover.toDouble / reps}")
   }
 
   test("weighted updates accumulate exactly") {
@@ -154,7 +186,7 @@ class BottomKSpec extends AnyFunSuite {
     bk.update(1, 2.0)
     val e = intercept[IllegalArgumentException](bk.update(2, Double.PositiveInfinity))
     assert(e.getMessage.contains("got Infinity"), e.getMessage)
-    assert(bk.totalWeight == 2.0 && bk.result == BottomKSample(Vector(repro.core.Entry(1, 2.0)), 1.0))
+    assert(bk.totalWeight == 2.0 && bk.result == HtSample(Vector(repro.core.HtEntry(1, 2.0, 2.0)), 1.0))
   }
 
   test("an item's membership is stable across arrival orders (hash-determined)") {
