@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.SketchSummary
 
@@ -24,19 +24,12 @@ object DisaggregatedSketch {
   def register(spark: SparkSession, name: String, m: Int, seed: Long): Unit =
     spark.udf.register(name, aggUdf(m, seed))
 
-  private def rowToResult(r: Row): SketchResultRow = {
-    val es = r.getAs[scala.collection.Seq[Row]]("entries")
-      .map(e => SketchEntryRow(e.getAs[String]("item"), e.getAs[Double]("count")))
-      .toArray
-    SketchResultRow(es, r.getAs[Double]("minCount"), r.getAs[Double]("total"))
-  }
-
   /** Sketch a whole DataFrame: one Unbiased Space Saving sketch over
     * (`itemCol`, `weightCol`), built per-partition and combined with the
     * unbiased merge. Returns the queryable summary.
     */
   def sketch(df: DataFrame, itemCol: Column, weightCol: Column, m: Int, seed: Long): SketchSummary[String] =
-    rowToResult(sketchByGroup(df, Nil, itemCol, weightCol, m, seed).head()).toSummary(m)
+    sketchByGroup(df, Nil, itemCol, weightCol, m, seed).as(Encoders.product[SketchResultRow]).head().toSummary(m)
 
   /** GROUP BY sketching: one sketch per group. Output columns: the group
     * columns plus `entries`, `minCount`, `total`.
