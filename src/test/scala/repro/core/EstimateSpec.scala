@@ -63,6 +63,7 @@ class EstimateSpec extends AnyFunSuite {
 }
 
 class SketchSummarySpec extends AnyFunSuite {
+  import SketchSummarySpec.Colliding
 
   private val s = SketchSummary(
     Vector(Entry("a", 50.0), Entry("b", 30.0), Entry("c", 10.0), Entry("d", 10.0)),
@@ -104,8 +105,9 @@ class SketchSummarySpec extends AnyFunSuite {
     assert(s.size == 4)
   }
 
-  private def bits(e: Estimate): (Long, Long) =
-    (java.lang.Double.doubleToRawLongBits(e.value), java.lang.Double.doubleToRawLongBits(e.variance))
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  private def bits(e: Estimate): (Long, Long) = (bits(e.value), bits(e.variance))
 
   /** `subsetSumOf` must return the predicate scan's value and variance, bits
     * and all.
@@ -168,6 +170,134 @@ class SketchSummarySpec extends AnyFunSuite {
     assert(any.subsetSumOf(Set[Any](1.0, 2.5f)) == Estimate(4.0, 2.0))
     assertSameAsScan(any, Set[Any](1L))
     assert(any.contains(1L) && any.estimate(1.0) == 3.0 && !any.contains(2))
+  }
+
+  /** `estimate` and `contains` against a reference `Map` built from the
+    * entries (the last position wins for a repeated item), for every item in
+    * `queries`; `subsetSumOf` against the scan for a few subsets of them.
+    */
+  private def assertIndexMatchesMap[T](summary: SketchSummary[T], queries: Seq[T]): Unit = {
+    val ref = summary.entries.iterator.map(_.item).zipWithIndex.toMap
+    queries.foreach { x =>
+      val want = ref.get(x).fold(0.0)(summary.entries(_).count)
+      assert(bits(summary.estimate(x)) == bits(want), s"estimate($x)")
+      assert(summary.contains(x) == ref.contains(x), s"contains($x)")
+    }
+    queries.grouped(math.max(1, summary.size / 2)).foreach(g => assertSameAsScan(summary, g.toSet))
+  }
+
+  test("estimate and contains equal a reference Map over random Int- and String-keyed summaries") {
+    val r = new java.util.SplittableRandom(17)
+    (0 until 200).foreach { k =>
+      val m = 1 + r.nextInt(120)
+      val items = m + r.nextInt(500)
+      val sk = UnbiasedSpaceSaving[Int](m, seed = 100 + k)
+      (0 until r.nextInt(5000)).foreach { _ =>
+        sk.update((items * math.pow(r.nextDouble(), 2)).toInt, 0.25 + 3 * r.nextDouble())
+      }
+      val ints = sk.summary
+      val strs = SketchSummary(ints.entries.map(e => Entry("k" + e.item, e.count)), ints.minCount, ints.total, m)
+      val queries = (-5 until items + 5).toVector
+      assertIndexMatchesMap(ints, queries)
+      assertIndexMatchesMap(strs, queries.map("k" + _))
+    }
+  }
+
+  test("keys with a constant ## still find their own bins when every probe collides") {
+    // Every key hashes alike, so all probes share one home slot and walk one
+    // run; over sixteen hashes and several sizes some runs wrap past the end
+    // of the table.
+    (0 until 16).foreach { h =>
+      Seq(1, 2, 3, 7, 8, 31, 64, 100).foreach { n =>
+        val entries = (0 until n).map(i => Entry(Colliding(i, h), 1.0 + i)).toVector
+        val summary = SketchSummary(entries, minCount = 1.0, total = entries.map(_.count).sum, m = n)
+        assertIndexMatchesMap(summary, (-2 until n + 2).map(Colliding(_, h)))
+        assert(summary.estimate(Colliding(n - 1, h)) == n.toDouble)
+        assert(!summary.contains(Colliding(n, h)))
+      }
+    }
+  }
+
+  test("a null item labels its own bin") {
+    val withNull = SketchSummary(Vector(Entry("a", 2.0), Entry(null: String, 3.0), Entry("b", 1.0)),
+      minCount = 1.0, total = 6.0, m = 3)
+    assert(withNull.contains(null) && withNull.estimate(null) == 3.0)
+    assert(withNull.subsetSumOf(Set[String](null)) == Estimate(3.0, 1.0))
+    assertIndexMatchesMap(withNull, Seq(null, "a", "b", "c"))
+    val noNull = SketchSummary(Vector(Entry("a", 2.0), Entry("b", 1.0)), minCount = 1.0, total = 3.0, m = 2)
+    assert(!noNull.contains(null) && noNull.estimate(null) == 0.0)
+    assertIndexMatchesMap(noNull, Seq(null, "a", "b", "c"))
+  }
+
+  test("1, 1L, 1.0 and BigInt(1) find each other's bin, as in a Scala Map") {
+    val one: Seq[Any] = Seq(1, 1L, 1.0, 1.0f, BigInt(1), 1.toShort, 1.toByte, '\u0001')
+    one.foreach { label =>
+      val summary = SketchSummary[Any](Vector(Entry("x", 2.0), Entry(label, 5.0), Entry(2L, 1.0)),
+        minCount = 1.0, total = 8.0, m = 3)
+      one.foreach { q =>
+        assert(summary.contains(q) && summary.estimate(q) == 5.0, s"$q against a bin labelled $label")
+      }
+      assert(summary.estimate(2) == 1.0 && summary.estimate(BigInt(2)) == 1.0 && !summary.contains(3))
+      assertIndexMatchesMap(summary, one ++ Seq[Any]("x", 2, 2.0, BigInt(2), 3, "1"))
+    }
+  }
+
+  test("a repeated item maps to its last bin, and subsetSumOf still sums every matching bin") {
+    val dup = SketchSummary(
+      Vector(Entry("a", 1.5), Entry("b", 2.0), Entry("a", 4.0), Entry("c", 1.0), Entry("a", 0.25)),
+      minCount = 0.25, total = 8.75, m = 5)
+    assert(dup.estimate("a") == 0.25 && dup.contains("a"))
+    assert(dup.estimate("b") == 2.0 && dup.estimate("c") == 1.0 && !dup.contains("d"))
+    assert(dup.subsetSumOf(Set("a")) == Estimate(5.75, 0.0625 * 3))
+    assertIndexMatchesMap(dup, Seq("a", "b", "c", "d"))
+  }
+
+  test("the empty summary holds no item") {
+    val empty = SketchSummary(Vector.empty[Entry[String]], minCount = 0.0, total = 0.0, m = 8)
+    Seq("a", "", null).foreach { x =>
+      assert(!empty.contains(x) && empty.estimate(x) == 0.0)
+    }
+    assert(empty.subsetSumOf(Set("a", "b")) == Estimate(0.0, 0.0))
+    assert(empty.subsetSumOf(Set.empty[String]) == Estimate(0.0, 0.0))
+    assertIndexMatchesMap(empty, Seq("a", "", null))
+  }
+
+  private def roundTrip[A](a: A): A = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(a)
+    out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
+  }
+
+  test("a Java-serialized summary and HT sample answer queries with the same bits after their index is built") {
+    val sk = UnbiasedSpaceSaving[Int](64, seed = 23)
+    val r = new java.util.SplittableRandom(24)
+    (0 until 5000).foreach(_ => sk.update((400 * math.pow(r.nextDouble(), 3)).toInt, 0.5 + r.nextDouble()))
+    val summary = sk.summary
+    val sample = repro.sampling.PrioritySampling.sample((0 until 300).map(i => i -> (1.0 + i % 11)), m = 40, seed = 25)
+    val queries = (-3 until 403).toVector
+    val sets = Seq(Set(1, 2, 3), (0 until 400 by 9).toSet, (0 until 30).toSet, queries.toSet)
+    // Query first, so the originals have built their index before they are written.
+    assert(summary.contains(summary.entries.head.item) && sample.contains(sample.entries.head.item))
+    val before = sets.map(s => bits(summary.subsetSumOf(s)))
+    val summaryCopy = roundTrip(summary)
+    val sampleCopy = roundTrip(sample)
+    assert(summaryCopy == summary && sampleCopy == sample)
+    queries.foreach { x =>
+      assert(bits(summaryCopy.estimate(x)) == bits(summary.estimate(x)), s"estimate($x)")
+      assert(summaryCopy.contains(x) == summary.contains(x), s"contains($x)")
+      assert(sampleCopy.contains(x) == sample.contains(x), s"sample contains($x)")
+    }
+    assert(sets.map(s => bits(summaryCopy.subsetSumOf(s))) == before)
+    sets.foreach(s => assert(bits(sampleCopy.subsetSumOf(s)) == bits(sample.subsetSumOf(s))))
+  }
+}
+
+object SketchSummarySpec {
+  /** A key whose hash is `h` whatever its value `v`. */
+  final case class Colliding(v: Int, h: Int) {
+    override def hashCode: Int = h
   }
 }
 
