@@ -24,9 +24,6 @@ final case class Estimate(value: Double, variance: Double) {
     (value - z * stddev, value + z * stddev)
   }
 
-  /** The paper's `N̂_S ± 1.96·sd` interval (§7.1). */
-  def ci95: (Double, Double) = ci(0.95)
-
   /** Whether `truth` falls inside the `conf` interval — used for coverage
     * experiments (fig. 8 right panel).
     */
@@ -82,18 +79,19 @@ object Estimate {
 final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
                                   total: Double, m: Int) {
 
-  // Item → its position in `entries` (the last one if a hand-built summary
-  // repeats an item). Scala `==`/`##`, as `Set.contains` uses.
-  private lazy val index: Map[T, Int] = entries.iterator.map(_.item).zipWithIndex.toMap
+  // Item → its position in `entries`, and the entries' counts in that order,
+  // built on first use. Transient: a deserialized copy builds its own.
+  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray)
+  @transient private lazy val counts: Array[Double] = entries.iterator.map(_.count).toArray
 
   /** Point estimate N̂_i for a single item (0 if not in the sketch). */
   def estimate(item: T): Double = {
-    val b = index.getOrElse(item, -1)
-    if (b >= 0) entries(b).count else 0.0
+    val b = index(item)
+    if (b >= 0) counts(b) else 0.0
   }
 
   /** Whether the item currently labels a bin (the Z_i indicator of Table 1). */
-  def contains(item: T): Boolean = index.contains(item)
+  def contains(item: T): Boolean = index(item) >= 0
 
   /** Unbiased subset-sum estimate N̂_S = Σ_{i∈S} N̂_i over items matching
     * `pred`, with the paper's variance estimate
@@ -115,13 +113,15 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     * takes the scan.
     */
   def subsetSumOf(items: Set[T]): Estimate =
-    if (items.size >= entries.size || index.size < entries.size) subsetSum(items.contains)
+    if (items.size >= entries.size || !index.distinct) subsetSum(items.contains)
     else {
+      val ix = index
+      val c = counts
       val marked = new java.util.BitSet(entries.size)
-      items.foreach { x => val b = index.getOrElse(x, -1); if (b >= 0) marked.set(b) }
+      items.foreach { x => val b = ix(x); if (b >= 0) marked.set(b) }
       var sum = 0.0
       var b = marked.nextSetBit(0)
-      while (b >= 0) { sum += entries(b).count; b = marked.nextSetBit(b + 1) }
+      while (b >= 0) { sum += c(b); b = marked.nextSetBit(b + 1) }
       eq5(sum, marked.cardinality)
     }
 

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.{Estimate, HtEntry}
+import repro.core.{Estimate, HtEntry, PositionIndex}
 
 /** A finished Horvitz-Thompson sample: bottom-k's (`BottomK.result`, ŵ = w/τ)
   * and priority sampling's (`PrioritySampling.sample`, ŵ = max(w, 1/τ)).
@@ -9,12 +9,12 @@ import repro.core.{Estimate, HtEntry}
   */
 final case class HtSample[T](entries: Vector[HtEntry[T]], tau: Double) {
 
-  private lazy val index: Map[T, HtEntry[T]] = entries.iterator.map(e => e.item -> e).toMap
+  // Item → its position in `entries`, built on first use (as in
+  // `SketchSummary`). Transient: a deserialized copy builds its own.
+  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray)
 
-  /** Adjusted weight of a sampled item, 0 if not sampled. */
-  def adjustedWeight(item: T): Double = index.get(item).map(_.adjusted).getOrElse(0.0)
-
-  def contains(item: T): Boolean = index.contains(item)
+  /** Whether `item` is in the sample (Scala `==`, as `Set.contains`). */
+  def contains(item: T): Boolean = index(item) >= 0
 
   /** Unbiased subset-sum estimate Σ ŵ_i with the variance estimate
     * V̂ = Σ ŵ_i·(ŵ_i − w_i) over the sampled items of S. For priority sampling
@@ -34,7 +34,4 @@ final case class HtSample[T](entries: Vector[HtEntry[T]], tau: Double) {
   }
 
   def subsetSumOf(items: Set[T]): Estimate = subsetSum(items.contains)
-
-  /** Estimated total Σ ŵ_i: unbiased for the true total but not exact. */
-  def estimatedTotal: Double = entries.iterator.map(_.adjusted).sum
 }
