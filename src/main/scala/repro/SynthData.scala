@@ -36,13 +36,6 @@ object SynthData {
     )
   }
 
-  def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
-    spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
-    )
-  }
-
   /** Cardinalities of the 9 categorical features of the Criteo-like log. */
   val CriteoCardinalities: Seq[Int] = Seq(3, 10, 25, 50, 120, 300, 700, 1200, 2000)
 

@@ -88,7 +88,7 @@ object E5Criteo {
       val qs = queries.zipWithIndex.filter { case ((_, _, t), _) => t / nRows >= lo && t / nRows < hi }
       if (qs.isEmpty) None
       else Some(BucketRow(
-        f"[$lo%.4f,${math.min(hi, 1.0)}%.2f)",
+        f"[$lo%.4f,${math.min(hi, 1.0)}%.4f)",
         qs.size,
         Exp.mean(qs.map(_._1._3 / nRows)),
         math.sqrt(Exp.mean(qs.map(q => sqErrUss(q._2) / seeds))),

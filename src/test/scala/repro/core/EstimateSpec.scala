@@ -25,7 +25,7 @@ class EstimateSpec extends AnyFunSuite {
 
   test("ci95 is symmetric around the value with the 1.96 width") {
     val e = Estimate(100.0, 16.0)
-    val (lo, hi) = e.ci95
+    val (lo, hi) = e.ci(0.95)
     assert(math.abs((lo + hi) / 2 - 100.0) < 1e-9)
     assert(math.abs(hi - 100.0 - 1.959964 * 4.0) < 1e-4)
   }

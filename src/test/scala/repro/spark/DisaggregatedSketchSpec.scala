@@ -1,17 +1,26 @@
 package repro.spark
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.{Oracle, SparkSpec, SynthData, TestUtil}
 
 class DisaggregatedSketchSpec extends SparkSpec {
   import spark.implicits._
 
+  /** `rows` rows of a uniform key `k` in 1..nKeys and a uniform value `v`. */
+  private def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long): DataFrame =
+    spark.range(rows).select(
+      (rand(seed) * nKeys + 1).cast(LongType) as "k",
+      rand(seed + 1)                          as "v",
+    )
+
   /** 4000 disaggregated rows over 40 distinct keys. */
-  private lazy val small = SynthData.uniformKeys(spark, rows = 4000, nKeys = 40, seed = 4)
+  private lazy val small = uniformKeys(spark, rows = 4000, nKeys = 40, seed = 4)
     .select(col("k").cast("string").as("item"), lit(1.0).as("weight")).cache()
 
   /** 20000 rows over ~1500 keys (more keys than bins in the sketch tests). */
-  private lazy val wide = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1500, seed = 5)
+  private lazy val wide = uniformKeys(spark, rows = 20000, nKeys = 1500, seed = 5)
     .select(col("k").cast("string").as("item"), lit(1.0).as("weight")).cache()
 
   test("exact pre-aggregation matches the DuckDB oracle") {
@@ -52,7 +61,7 @@ class DisaggregatedSketchSpec extends SparkSpec {
 
   test("zero-weight rows are skipped: the exact-regime sketch equals the exact GROUP BY (DuckDB oracle)") {
     // Key 1 has only zero-weight rows; the other keys mix zero and unit rows.
-    val zeros = SynthData.uniformKeys(spark, rows = 4000, nKeys = 40, seed = 8)
+    val zeros = uniformKeys(spark, rows = 4000, nKeys = 40, seed = 8)
       .select(col("k").cast("string").as("item"),
               when(col("k") === 1 || col("v") < 0.3, 0.0).otherwise(1.0).as("weight"))
       .repartition(7).cache()
@@ -72,7 +81,7 @@ class DisaggregatedSketchSpec extends SparkSpec {
 
   test("null weights are skipped: sketch, sketchByGroup and exactPairs equal the non-null GROUP BY (DuckDB oracle)") {
     // Key 1 has only null weights; the other keys mix null, unit and weight-2 rows.
-    val nulls = SynthData.uniformKeys(spark, rows = 4000, nKeys = 40, seed = 9)
+    val nulls = uniformKeys(spark, rows = 4000, nKeys = 40, seed = 9)
       .select(col("k").cast("string").as("item"),
               when(col("k") === 1 || col("v") < 0.3, lit(null).cast("double"))
                 .when(col("v") < 0.6, 2.0).otherwise(1.0).as("weight"))
@@ -132,7 +141,7 @@ class DisaggregatedSketchSpec extends SparkSpec {
   }
 
   test("sketchByGroup produces one exact sketch per group in the exact regime") {
-    val grouped = SynthData.uniformKeys(spark, rows = 3000, nKeys = 20, seed = 6)
+    val grouped = uniformKeys(spark, rows = 3000, nKeys = 20, seed = 6)
       .select((col("k") % 3).cast("string").as("g"), col("k").cast("string").as("item"), lit(1.0).as("weight"))
       .cache()
     val out = DisaggregatedSketch.sketchByGroup(grouped, Seq(col("g")), col("item"), col("weight"),
@@ -189,7 +198,7 @@ class DisaggregatedSketchSpec extends SparkSpec {
   }
 
   test("weighted sketching: totals equal the exact weighted sum") {
-    val weighted = SynthData.uniformKeys(spark, rows = 5000, nKeys = 800, seed = 12)
+    val weighted = uniformKeys(spark, rows = 5000, nKeys = 800, seed = 12)
       .select(col("k").cast("string").as("item"), (col("v") * 4 + 0.5).as("weight")).cache()
     val trueTotal = weighted.agg(sum("weight")).head().getDouble(0)
     val summary = DisaggregatedSketch.sketch(weighted, col("item"), col("weight"), m = 100, seed = 13)
