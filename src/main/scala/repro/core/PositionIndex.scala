@@ -3,16 +3,18 @@ package repro.core
 /** Build-once index item → position over the items of a finished summary or
   * sample, in their entry order.
   *
-  * Slots pack (position + 1) << 32 | hash, 0 = empty, in a table at most half
-  * full, probed linearly as `SpaceSavingBase`'s live index is. Unlike that
-  * index, items hash with `##` and match with `==`, Scala's cooperative
-  * equality, as `Set.contains` does (1, 1L, 1.0 and BigInt(1) are one item);
-  * the null item is allowed. A repeated item maps to its last position and
+  * Slots pack (position + 1) << 32 | hash, 0 = empty, probed linearly as in
+  * `SpaceSavingBase`'s live index. The table is at most a quarter full, not
+  * half: most items a subset query asks for are not in the summary, and a
+  * miss ends at the first empty slot, so a sparser table ends misses sooner.
+  * Unlike the live index, items hash with `##` and match with `==`, Scala's
+  * cooperative equality, as `Set.contains` does (1, 1L, 1.0 and BigInt(1)
+  * are one item); the null item is allowed. A repeated item maps to its last position and
   * clears `distinct`. Probes compare the hash in the slot before reading the
   * item, and read it from a flat array, not from an entry.
   */
 private[repro] final class PositionIndex(items: Array[Any]) {
-  private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 2 * items.length - 1))
+  private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 4 * items.length - 1))
   private val slots = new Array[Long](1 << bits)
 
   /** Whether no item occurs twice. */
