@@ -9,9 +9,9 @@ package repro.core
   * miss ends at the first empty slot, so a sparser table ends misses sooner.
   * Unlike the live index, items hash with `##` and match with `==`, Scala's
   * cooperative equality, as `Set.contains` does (1, 1L, 1.0 and BigInt(1)
-  * are one item); the null item is allowed. A repeated item maps to its last position and
-  * clears `distinct`. Probes compare the hash in the slot before reading the
-  * item, and read it from a flat array, not from an entry.
+  * are one item); the null item is allowed. A repeated item maps to its
+  * last position and clears `distinct`. Probes compare the hash in the slot
+  * before reading the item, and read it from a flat array, not from an entry.
   */
 private[repro] final class PositionIndex(items: Array[Any]) {
   private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 4 * items.length - 1))
