@@ -19,16 +19,23 @@ private[repro] final class PositionIndex(items: Array[Any]) {
 
   /** Whether no item occurs twice. */
   val distinct: Boolean = {
+    // This loop runs once per index, too rarely for the JIT to compile it,
+    // so the work per item sits in `put`, which is called often enough.
     var unique = true
     var p = 0
-    while (p < items.length) {
-      val h = items(p).##
-      val i = slotOf(items(p), h)
-      if (slots(i) != 0L) unique = false
-      slots(i) = (p + 1).toLong << 32 | (h & 0xffffffffL)
-      p += 1
-    }
+    while (p < items.length) { unique &= put(p); p += 1 }
     unique
+  }
+
+  /** Enter position `p` at its item's slot; false if an earlier position
+    * held that item.
+    */
+  private def put(p: Int): Boolean = {
+    val h = items(p).##
+    val i = slotOf(items(p), h)
+    val fresh = slots(i) == 0L
+    slots(i) = (p + 1).toLong << 32 | (h & 0xffffffffL)
+    fresh
   }
 
   /** Position of `x`, the last one if it repeats, or -1. */
