@@ -161,6 +161,9 @@ class SketchSummarySpec extends AnyFunSuite {
     assert(dup.subsetSumOf(Set("a")) == Estimate(5.5, 2.0))
     assert(dup.subsetSumOf(Set("a", "c", "zz")) == Estimate(6.5, 3.0))
     Seq(Set("a"), Set("a", "b"), Set("zz"), Set("a", "b", "c", "d", "e")).foreach(assertSameAsScan(dup, _))
+    // estimate and contains see the item's last bin, as a Map built from the entries does.
+    assert(dup.estimate("a") == 4.0 && dup.contains("a"))
+    assertIndexMatchesMap(dup, Seq("a", "b", "c", "d", "e", "zz"))
   }
 
   test("items match with Scala's cooperative equality, as Set.contains does") {
@@ -240,16 +243,6 @@ class SketchSummarySpec extends AnyFunSuite {
       assert(summary.estimate(2) == 1.0 && summary.estimate(BigInt(2)) == 1.0 && !summary.contains(3))
       assertIndexMatchesMap(summary, one ++ Seq[Any]("x", 2, 2.0, BigInt(2), 3, "1"))
     }
-  }
-
-  test("a repeated item maps to its last bin, and subsetSumOf still sums every matching bin") {
-    val dup = SketchSummary(
-      Vector(Entry("a", 1.5), Entry("b", 2.0), Entry("a", 4.0), Entry("c", 1.0), Entry("a", 0.25)),
-      minCount = 0.25, total = 8.75, m = 5)
-    assert(dup.estimate("a") == 0.25 && dup.contains("a"))
-    assert(dup.estimate("b") == 2.0 && dup.estimate("c") == 1.0 && !dup.contains("d"))
-    assert(dup.subsetSumOf(Set("a")) == Estimate(5.75, 0.0625 * 3))
-    assertIndexMatchesMap(dup, Seq("a", "b", "c", "d"))
   }
 
   test("the empty summary holds no item") {
