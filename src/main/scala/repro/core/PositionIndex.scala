@@ -1,36 +1,43 @@
 package repro.core
 
-/** Build-once index item → position over the items of a finished summary or
-  * sample, in their entry order.
+/** The one item → position index, over the caller's array of items: a live
+  * sketch's bin labels (`SpaceSavingBase`, which enters and removes positions
+  * as bins fill and change label) and the items of a finished summary or
+  * sample (built once, in entry order).
   *
-  * Slots pack (position + 1) << 32 | hash, 0 = empty, probed linearly as in
-  * `SpaceSavingBase`'s live index. The table is at most a quarter full, not
-  * half: most items a subset query asks for are not in the summary, and a
-  * miss ends at the first empty slot, so a sparser table ends misses sooner.
-  * Unlike the live index, items hash with `##` and match with `==`, Scala's
-  * cooperative equality, as `Set.contains` does (1, 1L, 1.0 and BigInt(1)
-  * are one item); the null item is allowed. A repeated item maps to its
-  * last position and clears `distinct`. Probes compare the hash in the slot
-  * before reading the item, and read it from a flat array, not from an entry.
+  * Slots pack (position + 1) << 32 | hash, 0 = empty, probed linearly from a
+  * multiplicative home. The table holds 4 slots per item of `items` or more,
+  * so it is at most a quarter full: most items a subset query asks for are
+  * not in the summary, and a miss ends at the first empty slot, so a sparse
+  * table ends misses sooner. Items hash with `##` and match with `==`,
+  * Scala's cooperative equality, as `Set.contains` and `Merge.combine`'s map
+  * do (1, 1L, 1.0 and BigInt(1) are one item); the null item is allowed.
+  * Probes compare the hash in the slot before reading the item, and read it
+  * from `items`, not from an entry.
+  *
+  * The constructor enters positions [0, `filled`). Later, the caller enters
+  * a position with `put` after writing its item, and removes it with `remove`
+  * before overwriting the item. A repeated item maps to its last position and
+  * clears `distinct`.
   */
-private[repro] final class PositionIndex(items: Array[Any]) {
+private[repro] final class PositionIndex(items: Array[Any], filled: Int) {
   private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 4 * items.length - 1))
   private val slots = new Array[Long](1 << bits)
 
-  /** Whether no item occurs twice. */
+  /** Whether no item occurs twice among the positions entered by the constructor. */
   val distinct: Boolean = {
     // This loop runs once per index, too rarely for the JIT to compile it,
     // so the work per item sits in `put`, which is called often enough.
     var unique = true
     var p = 0
-    while (p < items.length) { unique &= put(p); p += 1 }
+    while (p < filled) { unique &= put(p); p += 1 }
     unique
   }
 
   /** Enter position `p` at its item's slot; false if an earlier position
     * held that item.
     */
-  private def put(p: Int): Boolean = {
+  def put(p: Int): Boolean = {
     val h = items(p).##
     val i = slotOf(items(p), h)
     val fresh = slots(i) == 0L
@@ -38,13 +45,35 @@ private[repro] final class PositionIndex(items: Array[Any]) {
     fresh
   }
 
+  /** Remove position `p`, whose item is still in `items`, shifting later
+    * slots of its probe run back so every remaining item stays reachable
+    * from its home.
+    */
+  def remove(p: Int): Unit = {
+    val mask = slots.length - 1
+    var hole = home(items(p).##)
+    while ((slots(hole) >>> 32).toInt != p + 1) hole = (hole + 1) & mask
+    var j = (hole + 1) & mask
+    while (slots(j) != 0L) {
+      val h = home(slots(j).toInt)
+      if (((j - h) & mask) >= ((j - hole) & mask)) {
+        slots(hole) = slots(j)
+        hole = j
+      }
+      j = (j + 1) & mask
+    }
+    slots(hole) = 0L
+  }
+
   /** Position of `x`, the last one if it repeats, or -1. */
   def apply(x: Any): Int = (slots(slotOf(x, x.##)) >>> 32).toInt - 1
+
+  private def home(h: Int): Int = (h * 0x9e3779b9) >>> (32 - bits)
 
   /** The slot holding `x` (hash `h`), or the empty slot ending its probe run. */
   private def slotOf(x: Any, h: Int): Int = {
     val mask = slots.length - 1
-    var i = (h * 0x9e3779b9) >>> (32 - bits)
+    var i = home(h)
     var e = slots(i)
     while (e != 0L && !(e.toInt == h && items((e >>> 32).toInt - 1) == x)) {
       i = (i + 1) & mask

@@ -81,7 +81,7 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
 
   // Item → its position in `entries`, and the entries' counts in that order,
   // built on first use. Transient: a deserialized copy builds its own.
-  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray)
+  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray, entries.size)
   @transient private lazy val counts: Array[Double] = entries.iterator.map(_.count).toArray
 
   /** Point estimate N̂_i for a single item (0 if not in the sketch). */

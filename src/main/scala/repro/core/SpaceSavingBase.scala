@@ -4,9 +4,9 @@ package repro.core
   *
   * State is m bins, each an (item, count) pair, plus:
   *
-  *  - an open-addressing index item → bin over the `labels` array for O(1)
-  *    membership (linear probing, backward-shift deletion, Java
-  *    `hashCode`/`equals`, the null item allowed),
+  *  - a `PositionIndex` item → bin over the `labels` array for O(1)
+  *    membership (Scala `##`/`==`, as every summary and merge matches items,
+  *    the null item allowed), entered as bins fill and removed on relabel,
   *  - an indexed binary min-heap over bins keyed by (count, tieBreak) so the
   *    smallest bin is found in O(1) and updates cost O(log m). The heap holds
   *    the keys themselves in heap order (`KeyHeap`), so counts live there.
@@ -27,14 +27,10 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
 
   private val rng = Rng(seed)
 
-  private val labels = new Array[AnyRef](m)
+  private val labels = new Array[Any](m)
   private val heap = new KeyHeap(m)
-  // Index slots pack (bin + 1) << 32 | hashCode, 0 = empty, so probes and
-  // backward shifts compare hashes without touching the label objects. At
-  // most half full, so probes end. Rebuilt from `labels` after
-  // deserialization rather than shipped.
-  private val indexBits = 32 - Integer.numberOfLeadingZeros(2 * m - 1)
-  @transient private var index = new Array[Long](1 << indexBits)
+  // Rebuilt from `labels` after deserialization rather than shipped.
+  @transient private var index = new PositionIndex(labels, 0)
   private var totalW = 0.0
 
   /** Probability of overwriting the minimum bin's label when a weight-`w`
@@ -58,12 +54,12 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
 
   /** Point estimate for one item: its bin count if it labels a bin, else 0. */
   def estimate(item: T): Double = {
-    val b = find(item.asInstanceOf[AnyRef])
+    val b = index(item)
     if (b >= 0) heap.count(heap.slotOf(b)) else 0.0
   }
 
   /** Whether `item` currently labels a bin. */
-  def contains(item: T): Boolean = find(item.asInstanceOf[AnyRef]) >= 0
+  def contains(item: T): Boolean = index(item) >= 0
 
   /** Process one row: item `item` with positive weight `w` (§5.3 allows any
     * positive real weight; unit-weight streams use w = 1). Zero, negative,
@@ -73,24 +69,23 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   def update(item: T, w: Double = 1.0): Unit = {
     require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w")
     totalW += w
-    val x = item.asInstanceOf[AnyRef]
-    val b = find(x)
+    val b = index(item)
     if (b >= 0) {
       val s = heap.slotOf(b)
       heap.rekey(s, heap.count(s) + w, rng.nextLong())
     } else if (heap.size < m) {
       // Equivalent to incrementing one of the count-0 bins and taking its label.
       val nb = heap.size
-      labels(nb) = x
-      insert(x, nb)
+      labels(nb) = item
+      index.put(nb)
       heap.push(w, rng.nextLong(), nb)
     } else {
       val mb = heap.id(0)
       val nmin = heap.count(0)
       if (rng.nextDouble() < replaceProb(nmin, w)) {
-        remove(mb)
-        labels(mb) = x
-        insert(x, mb)
+        index.remove(mb)
+        labels(mb) = item
+        index.put(mb)
       }
       heap.rekey(0, nmin + w, rng.nextLong())
     }
@@ -107,66 +102,16 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     (0 until heap.size).iterator
       .map(b => Entry(labels(b).asInstanceOf[T], heap.count(heap.slotOf(b)))).toVector
 
-  // ---- index internals ------------------------------------------------------
-
-  private def hashOf(x: AnyRef): Int = if (x eq null) 0 else x.hashCode
-
-  private def home(h: Int): Int = (h * 0x9e3779b9) >>> (32 - indexBits)
-
-  /** Bin labelled `x`, or -1. */
-  private def find(x: AnyRef): Int = {
-    val h = hashOf(x)
-    val mask = index.length - 1
-    var i = home(h)
-    var e = index(i)
-    while (e != 0L && !(e.toInt == h && sameItem(x, labels((e >>> 32).toInt - 1)))) {
-      i = (i + 1) & mask
-      e = index(i)
-    }
-    (e >>> 32).toInt - 1
-  }
-
-  private def sameItem(x: AnyRef, label: AnyRef): Boolean =
-    (x eq label) || ((x ne null) && x.equals(label))
-
-  private def insert(x: AnyRef, bin: Int): Unit = {
-    val h = hashOf(x)
-    val mask = index.length - 1
-    var i = home(h)
-    while (index(i) != 0L) i = (i + 1) & mask
-    index(i) = (bin + 1).toLong << 32 | (h & 0xffffffffL)
-  }
-
-  /** Drop bin `bin`'s label from the index, shifting later entries of its
-    * probe run back so every remaining label stays reachable from its home.
-    */
-  private def remove(bin: Int): Unit = {
-    val mask = index.length - 1
-    var hole = home(hashOf(labels(bin)))
-    while ((index(hole) >>> 32).toInt != bin + 1) hole = (hole + 1) & mask
-    var j = (hole + 1) & mask
-    while (index(j) != 0L) {
-      val h = home(index(j).toInt)
-      if (((j - h) & mask) >= ((j - hole) & mask)) {
-        index(hole) = index(j)
-        hole = j
-      }
-      j = (j + 1) & mask
-    }
-    index(hole) = 0L
-  }
-
   private def readObject(in: java.io.ObjectInputStream): Unit = {
     in.defaultReadObject()
-    index = new Array[Long](1 << indexBits)
-    var b = 0
-    while (b < heap.size) { insert(labels(b), b); b += 1 }
+    index = new PositionIndex(labels, heap.size)
   }
 
   // ---- bulk operations ------------------------------------------------------
 
   /** Load pre-existing entries (merge outputs). Requires an empty sketch and
-    * at most m entries with positive, finite counts and distinct items; sets
+    * at most m entries with positive, finite counts and distinct items (under
+    * `==`, so 1 and 1L are one item, as `Merge.combine` would merge them); sets
     * totalWeight to `total`, which must be finite and non-negative (for
     * unbiased merges it is the sum of the input sketches' totals). Infinite
     * counts are rejected for the reason `update` rejects infinite weights.
@@ -177,11 +122,9 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     require(total >= 0 && total < Double.PositiveInfinity, s"total weight must be finite and non-negative, got $total")
     entries.foreach { e =>
       require(e.count > 0 && e.count < Double.PositiveInfinity, s"entry counts must be positive and finite, got $e")
-      val x = e.item.asInstanceOf[AnyRef]
-      require(find(x) < 0, s"duplicate item ${e.item} in load")
       val nb = heap.size
-      labels(nb) = x
-      insert(x, nb)
+      labels(nb) = e.item
+      require(index.put(nb), s"duplicate item ${e.item} in load")
       heap.push(e.count, rng.nextLong(), nb)
     }
     totalW = total

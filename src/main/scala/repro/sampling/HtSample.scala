@@ -11,7 +11,7 @@ final case class HtSample[T](entries: Vector[HtEntry[T]], tau: Double) {
 
   // Item → its position in `entries`, built on first use (as in
   // `SketchSummary`). Transient: a deserialized copy builds its own.
-  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray)
+  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray, entries.size)
 
   /** Whether `item` is in the sample (Scala `==`, as `Set.contains`). */
   def contains(item: T): Boolean = index(item) >= 0

@@ -30,6 +30,15 @@ object TestUtil {
     rows
   }
 
+  /** A copy of `a` written and read back with Java serialization. */
+  def roundTrip[A](a: A): A = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(a)
+    out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
+  }
+
   def mean(xs: Seq[Double]): Double = xs.sum / xs.size
 
   def variance(xs: Seq[Double]): Double = {

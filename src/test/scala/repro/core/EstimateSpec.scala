@@ -255,14 +255,6 @@ class SketchSummarySpec extends AnyFunSuite {
     assertIndexMatchesMap(empty, Seq("a", "", null))
   }
 
-  private def roundTrip[A](a: A): A = {
-    val bytes = new java.io.ByteArrayOutputStream()
-    val out = new java.io.ObjectOutputStream(bytes)
-    out.writeObject(a)
-    out.close()
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
-  }
-
   test("a Java-serialized summary and HT sample answer queries with the same bits after their index is built") {
     val sk = UnbiasedSpaceSaving[Int](64, seed = 23)
     val r = new java.util.SplittableRandom(24)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import scala.util.Random
 
 /** Internal-consistency checks for the bin store / min-heap. */
@@ -109,16 +110,20 @@ final case class Collide(k: Int) {
 
 /** The item index under label churn: after every update, `contains` and
   * `estimate` agree with `entriesVector`, and a label evicted by a replacement
-  * is no longer found.
+  * is no longer found. Items match with Scala `==`, so the Long, Double and
+  * BigInt boxes of a small int are that int's item.
   */
 class LabelIndexSpec extends AnyFunSuite {
 
-  private def churn(s: SpaceSavingBase[AnyRef], updates: Int, seed: Long): Int = {
+  private def churn(s: SpaceSavingBase[Any], updates: Int, seed: Long): Int = {
     val r = new java.util.SplittableRandom(seed)
-    def key(): AnyRef = r.nextInt(3) match {
+    def key(): Any = r.nextInt(4) match {
       case 0 => Collide(r.nextInt(25))
       case 1 => if (r.nextInt(10) == 0) null else "s" + r.nextInt(25)
-      case _ => Integer.valueOf(r.nextInt(25))
+      case 2 => Integer.valueOf(r.nextInt(25))
+      case _ =>
+        val k = r.nextInt(25)
+        r.nextInt(3) match { case 0 => k.toLong; case 1 => k.toDouble; case _ => BigInt(k) }
     }
     var replacements = 0
     var before = s.entriesVector
@@ -126,42 +131,61 @@ class LabelIndexSpec extends AnyFunSuite {
       val x = key()
       s.update(x, if (k % 3 == 0) 0.5 + r.nextDouble() else 1.0)
       val after = s.entriesVector
-      val changed = before.indices.filterNot(b => java.util.Objects.equals(before(b).item, after(b).item))
+      val changed = before.indices.filterNot(b => before(b).item == after(b).item)
       assert(changed.size <= 1, s"update $k relabelled ${changed.size} bins")
       changed.foreach { b =>
         replacements += 1
         val evicted = before(b).item
-        assert(java.util.Objects.equals(after(b).item, x), s"update $k: bin $b relabelled to another item")
+        assert(after(b).item == x, s"update $k: bin $b relabelled to another item")
         assert(!s.contains(evicted) && s.estimate(evicted) == 0.0, s"update $k: evicted $evicted still found")
       }
       after.foreach { e =>
         assert(s.contains(e.item) && s.estimate(e.item) == e.count, s"update $k: ${e.item} out of sync")
       }
-      assert(s.contains(x) == after.exists(e => java.util.Objects.equals(e.item, x)))
+      assert(s.contains(x) == after.exists(_.item == x))
       before = after
     }
     replacements
   }
 
   test("colliding, null and String keys stay findable through DSS churn") {
-    val n = churn(DeterministicSpaceSaving[AnyRef](6, seed = 1), 100000, seed = 1)
+    val n = churn(DeterministicSpaceSaving[Any](6, seed = 1), 100000, seed = 1)
     assert(n > 10000, s"only $n replacements")
   }
 
   test("colliding, null and String keys stay findable through USS churn") {
     // USS replaces with probability w / (N̂_min + w), so restart often to keep
     // N̂_min small and replacements frequent.
-    val n = (0 until 100).map(k => churn(UnbiasedSpaceSaving[AnyRef](5, seed = k), 1000, seed = k)).sum
+    val n = (0 until 100).map(k => churn(UnbiasedSpaceSaving[Any](5, seed = k), 1000, seed = k)).sum
     assert(n > 1000, s"only $n replacements")
   }
 
-  test("items are matched with Java equals, not Scala cooperative equality") {
+  test("a Java-serialized sketch rebuilds its index and keeps it through further churn") {
+    val s = DeterministicSpaceSaving[Any](6, seed = 2)
+    churn(s, 5000, seed = 2)
+    val copy = TestUtil.roundTrip(s)
+    assert(copy.entriesVector == s.entriesVector && copy.totalWeight == s.totalWeight)
+    val n = churn(copy, 20000, seed = 3)
+    assert(n > 2000, s"only $n replacements")
+  }
+
+  test("1, 1L, 1.0 and BigInt(1) are one item to the live sketch, its summary and its merge") {
     val s = UnbiasedSpaceSaving[Any](4, seed = 3)
-    s.update(1)
-    s.update(1L)
-    s.update(1.0)
-    assert(s.size == 3)
-    assert(s.estimate(1) == 1.0 && s.estimate(1L) == 1.0 && s.estimate(2) == 0.0)
+    val one = Seq[Any](1, 1L, 1.0, BigInt(1))
+    one.foreach(s.update(_))
+    s.update(2)
+    val summary = s.summary
+    val merged = Merge.pairwiseUnbiased(4, seed = 4, Seq(summary))
+    assert(s.size == 2 && merged.size == 2)
+    one.foreach { q =>
+      assert(s.estimate(q) == 4.0, s"estimate($q)")
+      assert(summary.estimate(q) == 4.0, s"summary.estimate($q)")
+      assert(summary.subsetSumOf(Set(q)).value == 4.0, s"subsetSumOf(Set($q))")
+      assert(merged.estimate(q) == 4.0, s"merged estimate($q)")
+    }
+    val e = intercept[IllegalArgumentException](
+      UnbiasedSpaceSaving.fromEntries[Any](4, seed = 5, Seq(Entry(1, 2.0), Entry(1L, 3.0)), total = 5.0))
+    assert(e.getMessage.contains("duplicate item"), e.getMessage)
   }
 }
 
