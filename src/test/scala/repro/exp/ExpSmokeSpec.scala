@@ -9,24 +9,30 @@ import repro.SparkSpec
   */
 class ExpSmokeSpec extends AnyFunSuite {
 
+  private lazy val e1 = E1Inclusion.run(nItems = 100, targetTotal = 5000L, m = 20, reps = 20, seed = 1)
   private lazy val e2 = E2Skew.run(nItems = 150, shapes = Seq(0.5, 1.0), targetTotal = 5000L,
     m = 30, subsetSize = 20, nSubsets = 6, reps = 10, seed = 2)
   private lazy val e3 = E3BottomK.run(nItems = 150, targetTotal = 5000L, m = 20, subsetSize = 20,
     nSubsets = 6, reps = 10, seed = 3)
   private lazy val e4 = E4Priority.run(nItems = 150, targetTotal = 5000L, m = 30, subsetSize = 20,
     nSubsets = 6, reps = 10, seed = 4)
+  private lazy val e6 = E6Pathological.run(nItemsPerHalf = 100, targetTotalPerHalf = 3000L, m = 20,
+    subsetSize = 20, nSubsets = 5, reps = 15, seed = 5)
+  private lazy val e7 = E7Variance.run(nItems = 200, targetTotal = 8000L, m = 40, nEpochs = 10,
+    reps = 20, seed = 6)
+  private lazy val e9 = E9Merge.run(nItems = 200, targetTotal = 8000L, m = 40, shards = 4,
+    subsetSize = 20, nSubsets = 5, reps = 10, seed = 7)
 
   private def sha(s: String): String =
     MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
 
   test("E1 inclusion harness produces buckets that cover theory and experiment") {
-    val rep = E1Inclusion.run(nItems = 100, targetTotal = 5000L, m = 20, reps = 20, seed = 1)
-    assert(rep.rows.nonEmpty)
-    rep.rows.foreach { r =>
+    assert(e1.rows.nonEmpty)
+    e1.rows.foreach { r =>
       assert(r.theoreticalPi >= 0 && r.theoreticalPi <= 1)
       assert(r.empiricalPi >= 0 && r.empiricalPi <= 1)
     }
-    assert(rep.table.contains("T1"))
+    assert(e1.table.contains("T1"))
   }
 
   test("E2 skew harness produces one tercile row per shape") {
@@ -53,31 +59,33 @@ class ExpSmokeSpec extends AnyFunSuite {
   }
 
   test("E6 pathological harness reports ten deciles and an error row") {
-    val rep = E6Pathological.run(nItemsPerHalf = 100, targetTotalPerHalf = 3000L, m = 20,
-      subsetSize = 20, nSubsets = 5, reps = 15, seed = 5)
-    assert(rep.inclusion.size == 10)
-    assert(rep.errors.map(_.scope) == Vector("all", "tail"))
-    rep.errors.foreach(e => assert(e.ussRrmse >= 0 && e.dssRrmse >= 0))
+    assert(e6.inclusion.size == 10)
+    assert(e6.errors.map(_.scope) == Vector("all", "tail"))
+    e6.errors.foreach(e => assert(e.ussRrmse >= 0 && e.dssRrmse >= 0))
   }
 
   test("E7 variance harness reports one row per epoch in both tables") {
-    val rep = E7Variance.run(nItems = 200, targetTotal = 8000L, m = 40, nEpochs = 10,
-      reps = 20, seed = 6)
-    assert(rep.varianceRows.size == 10)
-    assert(rep.errorRows.size == 10)
-    rep.varianceRows.foreach { r =>
+    assert(e7.varianceRows.size == 10)
+    assert(e7.errorRows.size == 10)
+    e7.varianceRows.foreach { r =>
       assert(r.coverage >= 0 && r.coverage <= 1)
       assert(r.estSd >= 0 && r.ppsSd >= 0)
     }
   }
 
   test("E9 merge harness reports all four methods") {
-    val rep = E9Merge.run(nItems = 200, targetTotal = 8000L, m = 40, shards = 4,
-      subsetSize = 20, nSubsets = 5, reps = 10, seed = 7)
-    assert(rep.rows.map(_.method).toSet ==
+    assert(e9.rows.map(_.method).toSet ==
       Set("single-pass", "pairwise", "priority", "misra-gries"))
-    assert(rep("pairwise").totalRelErr < 1e-9, "pairwise merge must preserve totals exactly")
-    assert(rep("single-pass").totalRelErr < 1e-9)
+    assert(e9("pairwise").totalRelErr < 1e-9, "pairwise merge must preserve totals exactly")
+    assert(e9("single-pass").totalRelErr < 1e-9)
+  }
+
+  test("E1, E6, E7 and E9 tables are pinned byte for byte") {
+    assert(sha(e1.table) == "a1a91052f7be42793fe1712f875123c9145a9287f21f2a283bd6673d1cc86a16")
+    assert(sha(e6.table) == "f1adf9fe0137733a4304b350512f931d71a9428a275df7dc712dc42e8400b587")
+    assert(sha(e7.varianceTable) == "4c4859530f6c87fb71fbb64e8babc16f82a16c162d88ff8442e6726b9e97d8b9")
+    assert(sha(e7.errorTable) == "776082207ec1361687f4c9a6b2911a6d3eeb37993e5967ac2b4d20b5998a1fc0")
+    assert(sha(e9.table) == "5412361f2cd7df5edebe4e8a69bffc3bff12f5ad7bd2c98eae552862b76eb362")
   }
 }
 
