@@ -55,22 +55,14 @@ object E10Tpch {
   }
 }
 
-/** Run every table in sequence (the full evaluation). */
+/** Run every table in sequence (the full evaluation): the table mains
+  * above, a blank line between tables.
+  */
 object RunAll {
   def main(args: Array[String]): Unit = {
-    println(repro.exp.E1Inclusion.run().table); println()
-    println(repro.exp.E2Skew.run().table); println()
-    println(repro.exp.E3BottomK.run().table); println()
-    println(repro.exp.E4Priority.run().table); println()
-    println(repro.exp.E6Pathological.run().table); println()
-    val e7 = repro.exp.E7Variance.run()
-    println(e7.varianceTable); println()
-    println(e7.errorTable); println()
-    println(repro.exp.E9Merge.run().table); println()
-    val spark = LocalSpark.session("RunAll")
-    try {
-      println(repro.exp.E5Criteo.run(spark).table); println()
-      println(repro.exp.E10Tpch.run(spark).table)
-    } finally spark.stop()
+    val mains = Seq[Array[String] => Unit](E1Inclusion.main, E2Skew.main, E3BottomK.main,
+      E4Priority.main, E6Pathological.main, E7Variance.main, E9Merge.main, E5Criteo.main, E10Tpch.main)
+    mains.head(args)
+    mains.tail.foreach { run => println(); run(args) }
   }
 }

@@ -2,8 +2,8 @@ package repro.core
 
 /** The one item → position index, over the caller's array of items: a live
   * sketch's bin labels (`SpaceSavingBase`, which enters and removes positions
-  * as bins fill and change label) and the items of a finished summary or
-  * sample (built once, in entry order).
+  * as bins fill and change label) and the items of a finished summary (built
+  * once, in entry order).
   *
   * Slots pack (position + 1) << 32 | hash, 0 = empty, probed linearly from a
   * multiplicative home. The table holds 4 slots per item of `items` or more,
@@ -20,7 +20,7 @@ package repro.core
   * before overwriting the item. A repeated item maps to its last position and
   * clears `distinct`.
   */
-private[repro] final class PositionIndex(items: Array[Any], filled: Int) {
+private[core] final class PositionIndex(items: Array[Any], filled: Int) {
   private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 4 * items.length - 1))
   private val slots = new Array[Long](1 << bits)
 

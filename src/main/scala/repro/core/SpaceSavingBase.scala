@@ -64,15 +64,18 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   /** Process one row: item `item` with positive weight `w` (§5.3 allows any
     * positive real weight; unit-weight streams use w = 1). Zero, negative,
     * NaN and infinite weights are rejected: an infinite one would make the
-    * total weight, and every subset sum over its bin, infinite.
+    * total weight, and every subset sum over its bin, infinite. A `Double` or
+    * `Float` NaN item is rejected as well: it never `==` itself, so each of
+    * its rows would open a bin that no query finds. Only a miss checks it.
     */
   def update(item: T, w: Double = 1.0): Unit = {
     require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w")
-    totalW += w
     val b = index(item)
     if (b >= 0) {
       val s = heap.slotOf(b)
       heap.rekey(s, heap.count(s) + w, rng.nextLong())
+    } else if (isNaN(item)) {
+      throw new IllegalArgumentException(s"items must not be NaN, got $item")
     } else if (heap.size < m) {
       // Equivalent to incrementing one of the count-0 bins and taking its label.
       val nb = heap.size
@@ -89,7 +92,10 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
       }
       heap.rekey(0, nmin + w, rng.nextLong())
     }
+    totalW += w
   }
+
+  private def isNaN(x: Any): Boolean = x match { case d: Double => d.isNaN; case f: Float => f.isNaN; case _ => false }
 
   /** Process a batch of unit-weight rows. */
   def updateAll(items: IterableOnce[T]): Unit = items.iterator.foreach(update(_))
@@ -114,7 +120,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     * `==`, so 1 and 1L are one item, as `Merge.combine` would merge them); sets
     * totalWeight to `total`, which must be finite and non-negative (for
     * unbiased merges it is the sum of the input sketches' totals). Infinite
-    * counts are rejected for the reason `update` rejects infinite weights.
+    * counts, and NaN items, are rejected for the reasons `update` gives.
     */
   protected[core] def load(entries: Seq[Entry[T]], total: Double): Unit = {
     require(heap.size == 0, "load requires an empty sketch")
@@ -122,6 +128,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     require(total >= 0 && total < Double.PositiveInfinity, s"total weight must be finite and non-negative, got $total")
     entries.foreach { e =>
       require(e.count > 0 && e.count < Double.PositiveInfinity, s"entry counts must be positive and finite, got $e")
+      require(!isNaN(e.item), s"items must not be NaN, got $e")
       val nb = heap.size
       labels(nb) = e.item
       require(index.put(nb), s"duplicate item ${e.item} in load")

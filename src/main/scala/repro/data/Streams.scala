@@ -15,7 +15,6 @@ import repro.core.Rng
   *    limit (de Finetti), the main-line experiments;
   *  - `sortedAscending`: rows sorted by item frequency ascending — the
   *    worst case for Unbiased Space Saving (§7.1);
-  *  - `sortedDescending`: the optimally favourable order;
   *  - `twoHalves`: two independently shuffled halves over disjoint item
   *    ranges — the natural pathological case for Deterministic Space Saving
   *    (figure 7: partitioned data processed partition by partition).
@@ -50,9 +49,8 @@ object Streams {
     // Ascending frequency: item 0 has the grid's smallest count.
     for (i <- counts.indices; _ <- 0L until counts(i)) { rows(p) = i; p += 1 }
     order match {
-      case Order.SortedAscending  => rows
-      case Order.SortedDescending => rows.reverse
-      case Order.Permuted         => shuffled(rows, Rng(seed))
+      case Order.SortedAscending => rows
+      case Order.Permuted        => shuffled(rows, Rng(seed))
       case Order.TwoHalves =>
         // Items split at n/2 by id: first half = items [0, n/2), second
         // half = items [n/2, n); each half shuffled independently.
@@ -78,7 +76,6 @@ object Streams {
   object Order {
     case object Permuted extends Order
     case object SortedAscending extends Order
-    case object SortedDescending extends Order
     case object TwoHalves extends Order
   }
 

@@ -22,6 +22,9 @@ object Exp {
     math.sqrt(xs.iterator.map(x => (x - m) * (x - m)).sum / (xs.size - 1))
   }
 
+  /** Weibull shape of the item counts in tables T3, T4, T6, T7 and T9. */
+  val Shape = 0.3
+
   /** Discretized-Weibull counts rescaled so the stream total is close to
     * `targetTotal` — keeps totals comparable across skew (shape) settings.
     */

@@ -19,9 +19,12 @@ object E1Inclusion {
 
   final case class Report(rows: Vector[BucketRow], maxAbsDiff: Double, table: String)
 
-  def run(nItems: Int = 500, shape: Double = 0.15, targetTotal: Long = 400_000L,
+  /** Weibull shape of the item counts: heavy-tailed, so the π buckets span (0, 1]. */
+  private val Shape = 0.15
+
+  def run(nItems: Int = 500, targetTotal: Long = 400_000L,
           m: Int = 100, reps: Int = 200, seed: Long = 11): Report = {
-    val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
+    val counts = Exp.scaledWeibullCounts(nItems, Shape, targetTotal)
     val pis = Pps.inclusionProbabilities(counts.map(_.toDouble).toSeq, m)
 
     val inclusion = new Array[Long](nItems)
@@ -47,7 +50,7 @@ object E1Inclusion {
         empiricalPi = Exp.mean(ids.map(empirical(_)))))
     }
     val table = Tab.render(
-      s"T1 / fig.2 — inclusion probabilities (nItems=$nItems shape=$shape total=${counts.sum} m=$m reps=$reps)",
+      s"T1 / fig.2 — inclusion probabilities (nItems=$nItems shape=$Shape total=${counts.sum} m=$m reps=$reps)",
       Seq("pi bucket", "items", "mean n_i", "theoretical pi", "empirical pi"),
       rows.map(r => Seq(r.bucket, r.items, r.meanCount, r.theoreticalPi, r.empiricalPi)))
     Report(rows, rows.map(_.absDiff).max, table)

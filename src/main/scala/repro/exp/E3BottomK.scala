@@ -18,10 +18,10 @@ object E3BottomK {
 
   final case class Report(rows: Vector[CompareRow], overallRatio: Double, table: String)
 
-  def run(nItems: Int = 2000, shape: Double = 0.3, targetTotal: Long = 300_000L,
+  def run(nItems: Int = 2000, targetTotal: Long = 300_000L,
           m: Int = 100, subsetSize: Int = 100, nSubsets: Int = 30, reps: Int = 100,
           seed: Long = 41): Report = {
-    val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
+    val counts = Exp.scaledWeibullCounts(nItems, Exp.Shape, targetTotal)
     val subsets = Streams.randomSubsets(nItems, subsetSize, nSubsets, seed)
     val (terciles, uss, bottomK) = Exp.ussVersus(counts, m, subsets, reps, (seed * 131, seed * 137)) { (stream, r) =>
       val bk = BottomK[Int](m, seed * 139 + r)
@@ -30,7 +30,7 @@ object E3BottomK {
     }
     val rows = terciles.zipWithIndex.map { case ((frac, u, b), i) => CompareRow(s"T$i", frac, u, b) }
     val table = Tab.render(
-      s"T3 / fig.4 — USS vs bottom-k uniform item sampling (shape=$shape m=k=$m, $reps reps)",
+      s"T3 / fig.4 — USS vs bottom-k uniform item sampling (shape=${Exp.Shape} m=k=$m, $reps reps)",
       Seq("subset-size tercile", "mean truth/total", "USS RRMSE", "bottom-k RRMSE", "ratio"),
       rows.map(r => Seq(r.sizeBucket, r.meanTruthFrac, r.ussRrmse, r.bottomKRrmse, r.ratio)))
     Report(rows, bottomK / uss, table)

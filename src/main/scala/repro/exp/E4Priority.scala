@@ -18,10 +18,10 @@ object E4Priority {
 
   final case class Report(rows: Vector[CompareRow], overallRatio: Double, table: String)
 
-  def run(nItems: Int = 2000, shape: Double = 0.3, targetTotal: Long = 300_000L,
+  def run(nItems: Int = 2000, targetTotal: Long = 300_000L,
           m: Int = 200, subsetSize: Int = 100, nSubsets: Int = 30, reps: Int = 200,
           seed: Long = 59): Report = {
-    val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
+    val counts = Exp.scaledWeibullCounts(nItems, Exp.Shape, targetTotal)
     val aggregated = counts.indices.map(i => i -> counts(i).toDouble)
     val subsets = Streams.randomSubsets(nItems, subsetSize, nSubsets, seed)
     val (terciles, uss, priority) = Exp.ussVersus(counts, m, subsets, reps, (seed * 149, seed * 151)) { (_, r) =>
@@ -29,7 +29,7 @@ object E4Priority {
     }
     val rows = terciles.zipWithIndex.map { case ((frac, u, p), i) => CompareRow(s"T$i", frac, u, p) }
     val table = Tab.render(
-      s"T4 / fig.5 — USS (disaggregated) vs priority sampling (pre-aggregated) (shape=$shape m=$m, $reps reps)",
+      s"T4 / fig.5 — USS (disaggregated) vs priority sampling (pre-aggregated) (shape=${Exp.Shape} m=$m, $reps reps)",
       Seq("subset-size tercile", "mean truth/total", "USS RRMSE", "priority RRMSE", "USS/priority"),
       rows.map(r => Seq(r.sizeBucket, r.meanTruthFrac, r.ussRrmse, r.priorityRrmse, r.ratio)))
     Report(rows, uss / priority, table)

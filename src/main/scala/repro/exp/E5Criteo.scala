@@ -29,11 +29,11 @@ object E5Criteo {
   private val Sep = ";"
 
   /** All 1-way marginal predicates (featureIdx, value) plus the 2-way
-    * marginals over the given feature pairs, with their true fractions.
+    * marginals over the feature pairs (c1, c2) and (c4, c7), with their true
+    * fractions.
     */
   def run(spark: SparkSession, sf: Double = 0.02, m: Int = 4096, seeds: Int = 3,
-          twoWayPairs: Seq[(Int, Int)] = Seq((0, 1), (3, 6)), minFrac: Double = 5e-4,
-          seed: Long = 103): Report = {
+          minFrac: Double = 5e-4, seed: Long = 103): Report = {
     val df = SynthData.criteoLike(spark, sf, seed).cache()
     val nRows = df.count().toDouble
     val item = concat_ws(Sep, (1 to 9).map(i => col(s"c$i")): _*)
@@ -57,7 +57,7 @@ object E5Criteo {
       val oneWay = (0 until 9).flatMap { j =>
         marginalTruths(Seq(j)).collect { case (vs, t) if t / nRows >= minFrac => (Seq(j), vs, t) }
       }
-      val twoWay = twoWayPairs.flatMap { case (a, b) =>
+      val twoWay = Seq((0, 1), (3, 6)).flatMap { case (a, b) =>
         marginalTruths(Seq(a, b)).collect { case (vs, t) if t / nRows >= minFrac => (Seq(a, b), vs, t) }
       }
       (oneWay ++ twoWay).toVector

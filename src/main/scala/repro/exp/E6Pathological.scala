@@ -32,12 +32,12 @@ object E6Pathological {
     def error(scope: String): ErrorRow = errors.find(_.scope == scope).get
   }
 
-  def run(nItemsPerHalf: Int = 1000, shape: Double = 0.3, targetTotalPerHalf: Long = 150_000L,
+  def run(nItemsPerHalf: Int = 1000, targetTotalPerHalf: Long = 150_000L,
           m: Int = 100, subsetSize: Int = 100, nSubsets: Int = 20, reps: Int = 200,
           seed: Long = 67): Report = {
     // Both halves draw from the same count distribution; item ids
     // [0, nItemsPerHalf) occur only in the first half of the stream.
-    val half = Exp.scaledWeibullCounts(nItemsPerHalf, shape, targetTotalPerHalf)
+    val half = Exp.scaledWeibullCounts(nItemsPerHalf, Exp.Shape, targetTotalPerHalf)
     val counts = half ++ half
     val pis = Pps.inclusionProbabilities(counts.map(_.toDouble).toSeq, m)
     val firstHalf = 0 until nItemsPerHalf

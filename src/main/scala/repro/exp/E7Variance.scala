@@ -31,11 +31,11 @@ object E7Variance {
   final case class Report(varianceRows: Vector[EpochRow], errorRows: Vector[EpochErrRow],
                           varianceTable: String, errorTable: String)
 
-  def run(nItems: Int = 2000, shape: Double = 0.3, targetTotal: Long = 400_000L,
-          m: Int = 200, nEpochs: Int = 10, reps: Int = 300, seed: Long = 83): Report = {
-    val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
+  def run(nItems: Int = 2000, targetTotal: Long = 400_000L,
+          m: Int = 200, reps: Int = 300, seed: Long = 83): Report = {
+    val counts = Exp.scaledWeibullCounts(nItems, Exp.Shape, targetTotal)
     val total = counts.sum.toDouble
-    val eps = Streams.epochs(nItems, nEpochs)
+    val eps = Streams.epochs(nItems, 10)
     val truths = eps.map(rg => rg.iterator.map(counts(_).toDouble).sum)
     val aggregated = counts.indices.map(i => i -> counts(i).toDouble)
 

@@ -25,10 +25,10 @@ object E9Merge {
     def apply(method: String): MethodRow = rows.find(_.method == method).get
   }
 
-  def run(nItems: Int = 2000, shape: Double = 0.3, targetTotal: Long = 300_000L,
+  def run(nItems: Int = 2000, targetTotal: Long = 300_000L,
           m: Int = 200, shards: Int = 16, subsetSize: Int = 100, nSubsets: Int = 20,
           reps: Int = 100, seed: Long = 97): Report = {
-    val counts = Exp.scaledWeibullCounts(nItems, shape, targetTotal)
+    val counts = Exp.scaledWeibullCounts(nItems, Exp.Shape, targetTotal)
     val total = counts.sum.toDouble
     val subsets = Streams.randomSubsets(nItems, subsetSize, nSubsets, seed)
     val truths = subsets.map(Exp.subsetTruth(counts, _))
@@ -73,7 +73,7 @@ object E9Merge {
     }
 
     val table = Tab.render(
-      s"T9 / §5.5 — distributed sketching: $shards shards merged to m=$m (shape=$shape, $reps reps; tail = items outside top-$m, ${(tailTruth / total * 100).round}% of mass)",
+      s"T9 / §5.5 — distributed sketching: $shards shards merged to m=$m (shape=${Exp.Shape}, $reps reps; tail = items outside top-$m, ${(tailTruth / total * 100).round}% of mass)",
       Seq("method", "|total-err|/total", "subset RRMSE", "tail rel.bias"),
       rows.map(r => Seq(r.method, r.totalRelErr, r.rrmse, r.tailRelBias)))
     Report(rows, table)

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.{Estimate, HtEntry, PositionIndex}
+import repro.core.{Estimate, HtEntry}
 
 /** A finished Horvitz-Thompson sample: bottom-k's (`BottomK.result`, ŵ = w/τ)
   * and priority sampling's (`PrioritySampling.sample`, ŵ = max(w, 1/τ)).
@@ -9,12 +9,8 @@ import repro.core.{Estimate, HtEntry, PositionIndex}
   */
 final case class HtSample[T](entries: Vector[HtEntry[T]], tau: Double) {
 
-  // Item → its position in `entries`, built on first use (as in
-  // `SketchSummary`). Transient: a deserialized copy builds its own.
-  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray, entries.size)
-
   /** Whether `item` is in the sample (Scala `==`, as `Set.contains`). */
-  def contains(item: T): Boolean = index(item) >= 0
+  def contains(item: T): Boolean = entries.exists(_.item == item)
 
   /** Unbiased subset-sum estimate Σ ŵ_i with the variance estimate
     * V̂ = Σ ŵ_i·(ŵ_i − w_i) over the sampled items of S. For priority sampling

@@ -5,36 +5,15 @@ import repro.TestUtil._
 
 class EstimateSpec extends AnyFunSuite {
 
-  test("normal quantile matches known values") {
-    assert(math.abs(Estimate.normalQuantile(0.5)) < 1e-8)
-    assert(math.abs(Estimate.normalQuantile(0.975) - 1.959964) < 1e-5)
-    assert(math.abs(Estimate.normalQuantile(0.025) + 1.959964) < 1e-5)
-    assert(math.abs(Estimate.normalQuantile(0.995) - 2.575829) < 1e-5)
-    assert(math.abs(Estimate.normalQuantile(0.84) - 0.994458) < 1e-5)
-    assert(math.abs(Estimate.normalQuantile(0.0001) + 3.719016) < 1e-4)
-  }
-
-  test("normal quantile rejects levels outside (0,1)") {
-    assertThrows[IllegalArgumentException](Estimate.normalQuantile(0.0))
-    assertThrows[IllegalArgumentException](Estimate.normalQuantile(1.0))
-  }
-
   test("stddev is the square root of the variance") {
     assert(Estimate(10.0, 25.0).stddev == 5.0)
   }
 
   test("ci95 is symmetric around the value with the 1.96 width") {
     val e = Estimate(100.0, 16.0)
-    val (lo, hi) = e.ci(0.95)
+    val (lo, hi) = e.ci
     assert(math.abs((lo + hi) / 2 - 100.0) < 1e-9)
     assert(math.abs(hi - 100.0 - 1.959964 * 4.0) < 1e-4)
-  }
-
-  test("wider confidence level gives wider interval") {
-    val e = Estimate(0.0, 1.0)
-    val (lo95, hi95) = e.ci(0.95)
-    val (lo99, hi99) = e.ci(0.99)
-    assert(lo99 < lo95 && hi99 > hi95)
   }
 
   test("covers is true exactly inside the interval") {
@@ -43,16 +22,6 @@ class EstimateSpec extends AnyFunSuite {
     assert(e.covers(53.0))
     assert(!e.covers(55.0))
     assert(!e.covers(45.0))
-  }
-
-  test("ci and covers require 0 < conf < 1, naming conf") {
-    val e = Estimate(50.0, 4.0)
-    Seq(0.0, -0.5, 1.0, 1.5).foreach { conf =>
-      val ci = intercept[IllegalArgumentException](e.ci(conf))
-      assert(ci.getMessage.contains(s"conf=$conf"), ci.getMessage)
-      val cov = intercept[IllegalArgumentException](e.covers(50.0, conf))
-      assert(cov.getMessage.contains(s"conf=$conf"), cov.getMessage)
-    }
   }
 
   test("zero-variance estimate covers only its own value") {

@@ -79,6 +79,22 @@ class UnbiasedSpaceSavingSpec extends AnyFunSuite {
       }
   }
 
+  test("NaN items are rejected by name and leave the sketch as it was") {
+    // A NaN never == itself, so each NaN row would open a bin no query finds.
+    def sketches = Seq[SpaceSavingBase[Any]](UnbiasedSpaceSaving[Any](2, seed = 7), DeterministicSpaceSaving[Any](2, seed = 7))
+    sketches.zip(sketches).foreach { case (s, twin) =>
+      // NaN arrives at an empty sketch, at a free bin, then at a full sketch.
+      (1 to 6).map(_.toDouble).foreach { x =>
+        Seq[Any](Double.NaN, Float.NaN).foreach { nan =>
+          val e = intercept[IllegalArgumentException](s.update(nan))
+          assert(e.getMessage.contains("got NaN"), e.getMessage)
+        }
+        s.update(x); twin.update(x)
+        assert(s.summary == twin.summary && s.totalWeight == twin.totalWeight, s"after $x")
+      }
+    }
+  }
+
   test("m must be positive") {
     assertThrows[IllegalArgumentException](UnbiasedSpaceSaving[Int](0, seed = 1))
   }
@@ -240,6 +256,8 @@ class UnbiasedSpaceSavingSpec extends AnyFunSuite {
       UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, 1.0), Entry(1, 2.0)), 3.0))
     assertThrows[IllegalArgumentException](
       UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1, -1.0)), -1.0))
+    assertThrows[IllegalArgumentException](
+      UnbiasedSpaceSaving.fromEntries(3, 1, Seq(Entry(1.0, 1.0), Entry(Double.NaN, 1.0)), 2.0))
     // Non-finite counts are rejected, naming the entry, as update rejects
     // infinite weights; so is a non-finite or negative total.
     Seq(Double.PositiveInfinity, Double.NaN, 0.0).foreach { c =>

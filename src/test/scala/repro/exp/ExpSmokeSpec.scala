@@ -18,8 +18,7 @@ class ExpSmokeSpec extends AnyFunSuite {
     nSubsets = 6, reps = 10, seed = 4)
   private lazy val e6 = E6Pathological.run(nItemsPerHalf = 100, targetTotalPerHalf = 3000L, m = 20,
     subsetSize = 20, nSubsets = 5, reps = 15, seed = 5)
-  private lazy val e7 = E7Variance.run(nItems = 200, targetTotal = 8000L, m = 40, nEpochs = 10,
-    reps = 20, seed = 6)
+  private lazy val e7 = E7Variance.run(nItems = 200, targetTotal = 8000L, m = 40, reps = 20, seed = 6)
   private lazy val e9 = E9Merge.run(nItems = 200, targetTotal = 8000L, m = 40, shards = 4,
     subsetSize = 20, nSubsets = 5, reps = 10, seed = 7)
 
