@@ -17,32 +17,29 @@ package repro.core
   *
   * The constructor enters positions [0, `filled`). Later, the caller enters
   * a position with `put` after writing its item, and removes it with `remove`
-  * before overwriting the item. A repeated item maps to its last position and
-  * clears `distinct`.
+  * before overwriting the item. Items are distinct: `put` rejects an item
+  * that an entered position already holds, so a sketch or summary that
+  * repeats an item fails when its index is built.
   */
 private[core] final class PositionIndex(items: Array[Any], filled: Int) {
   private val bits = 32 - Integer.numberOfLeadingZeros(math.max(1, 4 * items.length - 1))
   private val slots = new Array[Long](1 << bits)
 
-  /** Whether no item occurs twice among the positions entered by the constructor. */
-  val distinct: Boolean = {
-    // This loop runs once per index, too rarely for the JIT to compile it,
-    // so the work per item sits in `put`, which is called often enough.
-    var unique = true
+  // This loop runs once per index, too rarely for the JIT to compile it, so
+  // the work per item sits in `put`, which is called often enough.
+  locally {
     var p = 0
-    while (p < filled) { unique &= put(p); p += 1 }
-    unique
+    while (p < filled) { put(p); p += 1 }
   }
 
-  /** Enter position `p` at its item's slot; false if an earlier position
-    * held that item.
+  /** Enter position `p` at its item's slot; throws if an entered position
+    * already holds that item.
     */
-  def put(p: Int): Boolean = {
+  def put(p: Int): Unit = {
     val h = items(p).##
     val i = slotOf(items(p), h)
-    val fresh = slots(i) == 0L
+    if (slots(i) != 0L) throw new IllegalArgumentException(s"duplicate item ${items(p)}")
     slots(i) = (p + 1).toLong << 32 | (h & 0xffffffffL)
-    fresh
   }
 
   /** Remove position `p`, whose item is still in `items`, shifting later
@@ -65,7 +62,7 @@ private[core] final class PositionIndex(items: Array[Any], filled: Int) {
     slots(hole) = 0L
   }
 
-  /** Position of `x`, the last one if it repeats, or -1. */
+  /** Position of `x`, or -1. */
   def apply(x: Any): Int = (slots(slotOf(x, x.##)) >>> 32).toInt - 1
 
   private def home(h: Int): Int = (h * 0x9e3779b9) >>> (32 - bits)

@@ -48,15 +48,15 @@ object Estimate {
 final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
                                   total: Double, m: Int) {
 
-  // Item → its position in `entries`, and the entries' counts in that order,
-  // built on first use. Transient: a deserialized copy builds its own.
+  // Item → its position in `entries`, built on first use, so a summary that
+  // repeats an item fails at its first `estimate`, `contains` or
+  // `subsetSumOf`. Transient: a deserialized copy builds its own.
   @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray, entries.size)
-  @transient private lazy val counts: Array[Double] = entries.iterator.map(_.count).toArray
 
   /** Point estimate N̂_i for a single item (0 if not in the sketch). */
   def estimate(item: T): Double = {
     val b = index(item)
-    if (b >= 0) counts(b) else 0.0
+    if (b >= 0) entries(b).count else 0.0
   }
 
   /** Whether the item currently labels a bin (the Z_i indicator of Table 1). */
@@ -75,24 +75,19 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
 
   private def eq5(sum: Double, hits: Int): Estimate = Estimate(sum, minCount * minCount * math.max(1, hits))
 
-  /** Subset sum over an explicit item set. A set smaller than the summary
-    * probes the index once per item and marks the bins it hits, then adds the
-    * marked counts in bin order, the order of `subsetSum`'s scan, so both
-    * return the same bits. A larger set, or a summary that repeats an item,
-    * takes the scan.
+  /** Subset sum over an explicit item set. Probes the index once per item
+    * and marks the bins it hits, then adds the marked counts in bin order,
+    * the order of `subsetSum`'s scan, so both return the same bits.
     */
-  def subsetSumOf(items: Set[T]): Estimate =
-    if (items.size >= entries.size || !index.distinct) subsetSum(items.contains)
-    else {
-      val ix = index
-      val c = counts
-      val marked = new java.util.BitSet(entries.size)
-      items.foreach { x => val b = ix(x); if (b >= 0) marked.set(b) }
-      var sum = 0.0
-      var b = marked.nextSetBit(0)
-      while (b >= 0) { sum += c(b); b = marked.nextSetBit(b + 1) }
-      eq5(sum, marked.cardinality)
-    }
+  def subsetSumOf(items: Set[T]): Estimate = {
+    val ix = index
+    val marked = new java.util.BitSet(entries.size)
+    items.foreach { x => val b = ix(x); if (b >= 0) marked.set(b) }
+    var sum = 0.0
+    var b = marked.nextSetBit(0)
+    while (b >= 0) { sum += entries(b).count; b = marked.nextSetBit(b + 1) }
+    eq5(sum, marked.cardinality)
+  }
 
   /** Items with estimated relative frequency above `phi` (frequent items). */
   def frequentItems(phi: Double): Vector[Entry[T]] = {

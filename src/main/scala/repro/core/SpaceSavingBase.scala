@@ -120,7 +120,9 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     * `==`, so 1 and 1L are one item, as `Merge.combine` would merge them); sets
     * totalWeight to `total`, which must be finite and non-negative (for
     * unbiased merges it is the sum of the input sketches' totals). Infinite
-    * counts, and NaN items, are rejected for the reasons `update` gives.
+    * counts are rejected for the reason `update` gives. Each entry is then one
+    * `update` of its item by its count, which takes the next free bin, so
+    * `update` rejects a NaN item here too.
     */
   protected[core] def load(entries: Seq[Entry[T]], total: Double): Unit = {
     require(heap.size == 0, "load requires an empty sketch")
@@ -128,11 +130,8 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     require(total >= 0 && total < Double.PositiveInfinity, s"total weight must be finite and non-negative, got $total")
     entries.foreach { e =>
       require(e.count > 0 && e.count < Double.PositiveInfinity, s"entry counts must be positive and finite, got $e")
-      require(!isNaN(e.item), s"items must not be NaN, got $e")
-      val nb = heap.size
-      labels(nb) = e.item
-      require(index.put(nb), s"duplicate item ${e.item} in load")
-      heap.push(e.count, rng.nextLong(), nb)
+      require(!contains(e.item), s"duplicate item ${e.item} in load")
+      update(e.item, e.count)
     }
     totalW = total
   }

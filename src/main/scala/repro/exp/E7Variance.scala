@@ -52,18 +52,15 @@ object E7Variance {
         val set = rg.toSet
         val e = us.subsetSumOf(set)
         val nIn = rg.count(us.contains)
-        (e.value, e.stddev, nIn, ds.subsetSumOf(set).value)
+        (e, nIn, ds.subsetSumOf(set).value)
       }
     }
 
     val varianceRows = eps.indices.map { k =>
-      val ests = perRep.map(_(k)._1)
-      val sds = perRep.map(_(k)._2)
-      val items = perRep.map(_(k)._3.toDouble)
-      val cover = perRep.count { rep =>
-        val (v, sd) = (rep(k)._1, rep(k)._2)
-        math.abs(v - truths(k)) <= 1.96 * sd
-      }.toDouble / reps
+      val ests = perRep.map(_(k)._1.value)
+      val sds = perRep.map(_(k)._1.stddev)
+      val items = perRep.map(_(k)._2.toDouble)
+      val cover = perRep.count(_(k)._1.covers(truths(k))).toDouble / reps
       val ppsSd = math.sqrt(Pps.poissonVariance(aggregated, m)(eps(k).toSet.contains))
       EpochRow(k + 1, truths(k), Exp.mean(ests), Exp.stddev(ests), Exp.mean(sds), ppsSd,
                Exp.mean(items), cover)
@@ -71,8 +68,8 @@ object E7Variance {
 
     val errorRows = eps.indices.map { k =>
       EpochErrRow(k + 1, truths(k) / total,
-        Exp.rrmse(perRep.map(_(k)._1), truths(k)),
-        Exp.rrmse(perRep.map(_(k)._4), truths(k)))
+        Exp.rrmse(perRep.map(_(k)._1.value), truths(k)),
+        Exp.rrmse(perRep.map(_(k)._3), truths(k)))
     }.toVector
 
     val t7 = Tab.render(

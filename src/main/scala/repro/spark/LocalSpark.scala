@@ -2,8 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.SparkSession
 
-/** SparkSession factory for the `jobs/` entrypoints (tests use
-  * `repro.SparkSpec` instead).
+/** SparkSession factory for the `jobs/` entrypoints and the tests'
+  * `repro.SparkSpec`.
   */
 object LocalSpark {
   def session(appName: String): SparkSession =

@@ -123,16 +123,19 @@ class SketchSummarySpec extends AnyFunSuite {
       .foreach(assertSameAsScan(unfilled, _))
   }
 
-  test("a hand-built summary that repeats an item is still summed over every matching bin") {
-    val dup = SketchSummary(
-      Vector(Entry("a", 1.5), Entry("b", 2.0), Entry("a", 4.0), Entry("c", 1.0), Entry("d", 1.0)),
+  test("a hand-built summary that repeats an item is rejected at its first indexed query, naming the item") {
+    // Built fresh for each query, so each query is the one that builds the index.
+    def dup() = SketchSummary[Any](
+      Vector(Entry("a", 1.5), Entry(7, 2.0), Entry("b", 4.0), Entry(7L, 1.0), Entry("c", 1.0)),
       minCount = 1.0, total = 9.5, m = 5)
-    assert(dup.subsetSumOf(Set("a")) == Estimate(5.5, 2.0))
-    assert(dup.subsetSumOf(Set("a", "c", "zz")) == Estimate(6.5, 3.0))
-    Seq(Set("a"), Set("a", "b"), Set("zz"), Set("a", "b", "c", "d", "e")).foreach(assertSameAsScan(dup, _))
-    // estimate and contains see the item's last bin, as a Map built from the entries does.
-    assert(dup.estimate("a") == 4.0 && dup.contains("a"))
-    assertIndexMatchesMap(dup, Seq("a", "b", "c", "d", "e", "zz"))
+    val queries: Seq[SketchSummary[Any] => Any] =
+      Seq(_.estimate("a"), _.contains("zz"), _.subsetSumOf(Set[Any]("b")), _.subsetSumOf(Set.empty[Any]))
+    queries.foreach { q =>
+      val e = intercept[IllegalArgumentException](q(dup()))
+      assert(e.getMessage.contains("duplicate item 7"), e.getMessage)
+    }
+    // The predicate scan reads the entries alone and builds no index.
+    assert(dup().subsetSum(_ == "a") == Estimate(1.5, 1.0))
   }
 
   test("items match with Scala's cooperative equality, as Set.contains does") {
@@ -145,8 +148,8 @@ class SketchSummarySpec extends AnyFunSuite {
   }
 
   /** `estimate` and `contains` against a reference `Map` built from the
-    * entries (the last position wins for a repeated item), for every item in
-    * `queries`; `subsetSumOf` against the scan for a few subsets of them.
+    * entries, for every item in `queries`; `subsetSumOf` against the scan for
+    * a few subsets of them.
     */
   private def assertIndexMatchesMap[T](summary: SketchSummary[T], queries: Seq[T]): Unit = {
     val ref = summary.entries.iterator.map(_.item).zipWithIndex.toMap
