@@ -11,12 +11,10 @@ package repro.core
 final class DeterministicSpaceSaving[T](m: Int, seed: Long) extends SpaceSavingBase[T](m, seed) {
   override protected def replaceProb(minCount: Double, w: Double): Double = 1.0
 
-  /** The §5.2 isomorphism: the Misra-Gries estimate is the Space Saving
-    * estimate soft-thresholded by N̂_min.
+  /** The §5.2 isomorphism: the Misra-Gries view of the sketch, each Space
+    * Saving count soft-thresholded by N̂_min (bins thresholded to 0 are
+    * dropped, so their items, like unseen ones, estimate 0).
     */
-  def misraGriesEstimate(item: T): Double = Merge.softThreshold(estimate(item), minCount)
-
-  /** Misra-Gries view of the whole sketch (drops bins thresholded to 0). */
   def misraGriesSummary: SketchSummary[T] =
     SketchSummary(Merge.softThreshold(entriesVector.iterator, minCount), 0.0, totalWeight, m)
 }

@@ -63,8 +63,9 @@ object Merge {
       heap.pop()
       val c2 = heap.count(0); val i2 = heap.id(0)
       val c = c1 + c2
-      val keep = if (rng.nextDouble() < c1 / c) i1 else i2
-      heap.replaceMin(c, rng.nextLong(), keep)
+      // As an update's miss: relabel the minimum, then re-key the root.
+      if (rng.nextDouble() < c1 / c) items(i2) = items(i1)
+      heap.rekey(0, c, rng.nextLong())
     }
     // Survivors in ascending (count, tie-break) order.
     val entries = Vector.newBuilder[Entry[T]]
@@ -118,15 +119,11 @@ object Merge {
     SketchSummary(softThreshold(acc.iterator.map { case (i, c) => Entry(i, c) }, theta), 0.0, total, m)
   }
 
-  /** The Misra-Gries soft threshold (c − θ)₊: the §5.2 isomorphism maps a
-    * Space Saving count to its Misra-Gries counter with θ = N̂_min, and the
-    * merge above uses θ = the (m+1)-th largest combined count.
-    */
-  def softThreshold(c: Double, theta: Double): Double = math.max(0.0, c - theta)
-
-  /** `softThreshold` applied to every bin, dropping the bins it zeroes; the
-    * bins keep their order.
+  /** The Misra-Gries soft threshold (c − θ)₊ of every bin, dropping the bins
+    * it zeroes; the bins keep their order. The §5.2 isomorphism maps a Space
+    * Saving count to its Misra-Gries counter with θ = N̂_min, and the merge
+    * above uses θ = the (m+1)-th largest combined count.
     */
   def softThreshold[T](bins: Iterator[Entry[T]], theta: Double): Vector[Entry[T]] =
-    bins.map(e => Entry(e.item, softThreshold(e.count, theta))).filter(_.count > 0).toVector
+    bins.map(e => Entry(e.item, math.max(0.0, e.count - theta))).filter(_.count > 0).toVector
 }

@@ -179,9 +179,6 @@ private[core] final class KeyHeap(capacity: Int) extends Serializable {
     if (siftDown(s, c, t, i) == s) siftUp(s, c, t, i)
   }
 
-  /** Replace the minimum with (c, t, i). */
-  def replaceMin(c: Double, t: Long, i: Int): Unit = siftDown(0, c, t, i)
-
   /** Remove the minimum. */
   def pop(): Unit = {
     size -= 1

@@ -74,13 +74,11 @@ object Exp {
     (rows, mean(perSubset.map(_._2)), mean(perSubset.map(_._3)))
   }
 
-  /** Run `reps` independent replicates in parallel, collecting results. */
-  def parReps[A](reps: Int)(body: Int => A): Vector[A] = {
-    import java.util.concurrent.ConcurrentHashMap
-    val out = new ConcurrentHashMap[Int, A]()
-    java.util.stream.IntStream.range(0, reps).parallel().forEach(r => out.put(r, body(r)))
-    (0 until reps).map(out.get).toVector
-  }
+  /** Run `reps` independent replicates in parallel; the results come back in
+    * rep order, as the ordered parallel stream collects them.
+    */
+  def parReps[A](reps: Int)(body: Int => A): Vector[A] =
+    java.util.stream.IntStream.range(0, reps).parallel().mapToObj[A](body(_)).toArray.toVector.map(_.asInstanceOf[A])
 }
 
 /** Minimal fixed-width text-table renderer for bench/job output. */

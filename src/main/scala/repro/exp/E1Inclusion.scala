@@ -31,8 +31,7 @@ object E1Inclusion {
     val perRep = Exp.parReps(reps) { r =>
       val stream = Streams.expand(counts, Streams.Order.Permuted, seed * 7919 + r)
       val sk = UnbiasedSpaceSaving[Int](m, seed * 104729 + r)
-      var i = 0
-      while (i < stream.length) { sk.update(stream(i)); i += 1 }
+      sk.updateAll(stream)
       (0 until nItems).map(it => if (sk.contains(it)) 1L else 0L).toArray
     }
     perRep.foreach { arr => var i = 0; while (i < nItems) { inclusion(i) += arr(i); i += 1 } }

@@ -55,8 +55,8 @@ object E6Pathological {
       val stream = Streams.expand(counts, Streams.Order.TwoHalves, seed * 173 + r)
       val uss = UnbiasedSpaceSaving[Int](m, seed * 179 + r)
       val dss = DeterministicSpaceSaving[Int](m, seed * 181 + r)
-      var i = 0
-      while (i < stream.length) { uss.update(stream(i)); dss.update(stream(i)); i += 1 }
+      uss.updateAll(stream)
+      dss.updateAll(stream)
       val us = uss.summary
       val ds = dss.summary
       val inc = firstHalf.map(it => (if (us.contains(it)) 1 else 0, if (ds.contains(it)) 1 else 0)).toArray

@@ -44,8 +44,8 @@ object E7Variance {
     val perRep = Exp.parReps(reps) { r =>
       val uss = UnbiasedSpaceSaving[Int](m, seed * 191 + r)
       val dss = DeterministicSpaceSaving[Int](m, seed * 193 + r)
-      var i = 0
-      while (i < stream.length) { uss.update(stream(i)); dss.update(stream(i)); i += 1 }
+      uss.updateAll(stream)
+      dss.updateAll(stream)
       val us = uss.summary
       val ds = dss.summary
       eps.map { rg =>

@@ -1,16 +1,13 @@
 package repro.sampling
 
-import repro.core.{Entry, Rng}
-
 /** Probability-proportional-to-size sampling utilities (§5.1).
   *
   *  - `inclusionProbabilities`: the thresholded PPS marginals
   *    π_i = min(1, α·w_i) with α chosen (water-filling) so Σ π_i = k.
   *    These are the theoretical curves of figure 2.
-  *  - `poissonSample`: independent Bernoulli(π_i) draws with HT adjustment,
-  *    plus the closed-form variance Σ w_i²(1−π_i)/π_i used as the PPS
-  *    reference line in figure 9; the sampler is the Monte Carlo check of
-  *    that closed form.
+  *  - `poissonVariance`: the closed-form variance Σ w_i²(1−π_i)/π_i of the
+  *    Poisson PPS sample's Horvitz-Thompson estimator, the PPS reference
+  *    line in figure 9. The tests check it against a Monte Carlo sampler.
   */
 object Pps {
 
@@ -38,15 +35,6 @@ object Pps {
       pis(orig) = if (j < certain) 1.0 else math.min(1.0, alpha * sorted(j))
     }
     pis
-  }
-
-  /** Poisson (independent Bernoulli) PPS sample with HT-adjusted weights. */
-  def poissonSample[T](items: Seq[(T, Double)], k: Int, seed: Long): Vector[Entry[T]] = {
-    val pis = inclusionProbabilities(items.map(_._2), k)
-    val rng = Rng(seed)
-    items.iterator.zipWithIndex.flatMap { case ((i, w), j) =>
-      if (rng.nextDouble() < pis(j)) Some(Entry(i, w / pis(j))) else None
-    }.toVector
   }
 
   /** Exact variance of the Poisson PPS HT estimator for the subset selected

@@ -10,8 +10,7 @@ object LocalSpark {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 }

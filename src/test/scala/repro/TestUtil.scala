@@ -1,6 +1,8 @@
 package repro
 
 import org.scalacheck.{Prop, Test => SCTest}
+import repro.core.{Entry, Rng}
+import repro.sampling.Pps
 import scala.util.Random
 
 /** Shared helpers for the unit-test suites. */
@@ -37,6 +39,17 @@ object TestUtil {
     out.writeObject(a)
     out.close()
     new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[A]
+  }
+
+  /** Poisson (independent Bernoulli) PPS sample with HT-adjusted weights:
+    * the Monte Carlo check of `Pps.poissonVariance`.
+    */
+  def poissonSample[T](items: Seq[(T, Double)], k: Int, seed: Long): Vector[Entry[T]] = {
+    val pis = Pps.inclusionProbabilities(items.map(_._2), k)
+    val rng = Rng(seed)
+    items.iterator.zipWithIndex.flatMap { case ((i, w), j) =>
+      if (rng.nextDouble() < pis(j)) Some(Entry(i, w / pis(j))) else None
+    }.toVector
   }
 
   def mean(xs: Seq[Double]): Double = xs.sum / xs.size

@@ -92,14 +92,15 @@ class DeterministicSpaceSavingSpec extends AnyFunSuite {
     }
   }
 
-  test("misraGriesEstimate is the soft-thresholded view: (N̂_i − N̂_min)₊ and sandwiches truth") {
+  test("misraGriesSummary.estimate is (N_i - N_min)+ and sandwiches truth") {
     val rng = new Random(7)
     val stream = Array.fill(6000)(if (rng.nextDouble() < 0.3) rng.nextInt(5) else rng.nextInt(400))
     val s = DeterministicSpaceSaving[Int](15, seed = 7)
     stream.foreach(s.update(_))
     val truth = trueCounts(stream.toSeq)
+    val mgs = s.misraGriesSummary
     (0 until 400).foreach { i =>
-      val mg = s.misraGriesEstimate(i)
+      val mg = mgs.estimate(i)
       assert(mg == math.max(0.0, s.estimate(i) - s.minCount))
       assert(mg <= truth.getOrElse(i, 0L).toDouble + 1e-9, s"MG view over-estimates item $i")
     }

@@ -5,7 +5,8 @@ import java.security.MessageDigest
 import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.Streams
-import repro.sampling.{BottomK, HtSample, Pps, PrioritySampling}
+import repro.TestUtil.poissonSample
+import repro.sampling.{BottomK, HtSample, PrioritySampling}
 
 /** Pins the exact seeded outputs of the sketches and of the unbiased merges:
   * every bin in `entriesVector` order with its count's bit pattern, plus
@@ -183,7 +184,7 @@ class GoldenOutputSpec extends AnyFunSuite {
   test("seeded Poisson PPS samples are pinned") {
     val r = new SplittableRandom(44)
     val items = (0 until 3000).map(i => i -> (0.05 + 50 * math.pow(r.nextDouble(), 3)))
-    val sample = Pps.poissonSample(items, 200, 45)
+    val sample = poissonSample(items, 200, 45)
     assert(sha(sample.map(e => s"${e.item}:${bits(e.count)}").mkString(",")) == "2a563bd4b6d575f4603a6bf1c2ca934e455f02a5f5c4f247eec6ad5d66925354")
   }
 

@@ -49,13 +49,12 @@ class KeyHeapSpec extends AnyFunSuite {
 
     def push(k: Key, i: Int): Unit = { key(size) = k; id(size) = i; size += 1; up(size - 1) }
     def rekey(s: Int, k: Key): Unit = { key(s) = k; if (down(s) == s) up(s) }
-    def replaceMin(k: Key, i: Int): Unit = { key(0) = k; id(0) = i; down(0) }
     def pop(): Unit = { size -= 1; if (size > 0) { key(0) = key(size); id(0) = id(size); down(0) } }
   }
 
   test("KeyHeap matches a sorted reference and the swap-based heap slot for slot") {
     val r = new java.util.SplittableRandom(8)
-    val ops = mutable.Map("push" -> 0, "rekeyUp" -> 0, "rekeyDown" -> 0, "replaceMin" -> 0, "pop" -> 0)
+    val ops = mutable.Map("push" -> 0, "rekeyUp" -> 0, "rekeyDown" -> 0, "rekeyRoot" -> 0, "pop" -> 0)
     var sharedKeys = 0
     var spareSlotSteps = 0
     (0 until 400).foreach { round =>
@@ -99,14 +98,12 @@ class KeyHeapSpec extends AnyFunSuite {
             ops("pop") += 1
             check("pop")
           case 3 | 4 if ref.nonEmpty =>
-            // Keep the old min's id or hand its slot to a free id, as the
-            // pairwise merge keeps one of the two collapsed labels.
-            val old = heap.id(0)
-            ref -= old
-            val i = if (r.nextBoolean()) old else freeId()
-            heap.replaceMin(k._1, k._2, i); swap.replaceMin(k, i); ref(i) = k
-            ops("replaceMin") += 1
-            check("replaceMin")
+            // Re-key the minimum in place, as an update's miss and the
+            // pairwise merge's collapse do.
+            val i = heap.id(0)
+            heap.rekey(0, k._1, k._2); swap.rekey(0, k); ref(i) = k
+            ops("rekeyRoot") += 1
+            check("rekeyRoot")
           case _ if ref.nonEmpty =>
             val s = r.nextInt(heap.size)
             val i = heap.id(s)

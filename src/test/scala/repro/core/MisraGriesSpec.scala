@@ -23,7 +23,8 @@ class MisraGriesSpec extends AnyFunSuite {
     val s = mg[Int](8)
     val counts = Seq(9L, 5L, 3L, 1L)
     s.updateAll(shuffledStream(counts, seed = 1))
-    counts.zipWithIndex.foreach { case (c, i) => assert(s.misraGriesEstimate(i) == c.toDouble) }
+    val mgs = s.misraGriesSummary
+    counts.zipWithIndex.foreach { case (c, i) => assert(mgs.estimate(i) == c.toDouble) }
     assert(s.minCount == 0.0)
   }
 
@@ -39,8 +40,9 @@ class MisraGriesSpec extends AnyFunSuite {
     val s = mg[Int](12)
     stream.foreach(s.update(_))
     val truth = trueCounts(stream.toSeq)
+    val mgs = s.misraGriesSummary
     (0 until 100).foreach { i =>
-      assert(s.misraGriesEstimate(i) <= truth.getOrElse(i, 0L).toDouble + 1e-9)
+      assert(mgs.estimate(i) <= truth.getOrElse(i, 0L).toDouble + 1e-9)
     }
   }
 
@@ -51,8 +53,9 @@ class MisraGriesSpec extends AnyFunSuite {
     val s = mg[Int](m)
     stream.foreach(s.update(_))
     val truth = trueCounts(stream.toSeq)
+    val mgs = s.misraGriesSummary
     truth.foreach { case (i, n) =>
-      assert(n - s.misraGriesEstimate(i) <= stream.length.toDouble / m + 1e-9, s"item $i undercount too large")
+      assert(n - mgs.estimate(i) <= stream.length.toDouble / m + 1e-9, s"item $i undercount too large")
     }
   }
 
@@ -63,7 +66,7 @@ class MisraGriesSpec extends AnyFunSuite {
     val s = mg[Int](m)
     stream.foreach(s.update(_))
     assert(counters(s).contains(0))
-    assert(s.misraGriesEstimate(0) >= 10000 * 0.3 - 10000.0 / m - 300)
+    assert(s.misraGriesSummary.estimate(0) >= 10000 * 0.3 - 10000.0 / m - 300)
   }
 
   test("undercount is bounded by the recorded total decrement") {
@@ -72,16 +75,18 @@ class MisraGriesSpec extends AnyFunSuite {
     val s = mg[Int](15)
     stream.foreach(s.update(_))
     val truth = trueCounts(stream.toSeq)
+    val mgs = s.misraGriesSummary
     truth.foreach { case (i, n) =>
-      assert(n - s.misraGriesEstimate(i) <= s.minCount + 1e-9)
+      assert(n - mgs.estimate(i) <= s.minCount + 1e-9)
     }
   }
 
   test("weighted updates: exactness in the no-reduction regime") {
     val s = mg[String](4)
     s.update("a", 2.5); s.update("b", 1.5); s.update("a", 3.0)
-    assert(s.misraGriesEstimate("a") == 5.5)
-    assert(s.misraGriesEstimate("b") == 1.5)
+    val mgs = s.misraGriesSummary
+    assert(mgs.estimate("a") == 5.5)
+    assert(mgs.estimate("b") == 1.5)
     assert(s.totalWeight == 7.0)
   }
 

@@ -41,7 +41,7 @@ class PpsSpec extends AnyFunSuite {
   test("poisson sample: expected size equals k (Monte Carlo)") {
     val items = weights.zipWithIndex.map { case (w, i) => (i, w) }
     val reps = 2000
-    val sizes = (0 until reps).map(r => Pps.poissonSample(items, 15, seed = 100 + r).size.toDouble)
+    val sizes = (0 until reps).map(r => poissonSample(items, 15, seed = 100 + r).size.toDouble)
     assertUnbiased(sizes, 15.0, z = 4.5, label = "poisson size")
   }
 
@@ -51,7 +51,7 @@ class PpsSpec extends AnyFunSuite {
     val truth = items.collect { case (i, w) if subset(i) => w }.sum
     val reps = 3000
     val ests = (0 until reps).map { r =>
-      Pps.poissonSample(items, 15, seed = 500 + r).collect { case e if subset(e.item) => e.count }.sum
+      poissonSample(items, 15, seed = 500 + r).collect { case e if subset(e.item) => e.count }.sum
     }
     assertUnbiased(ests, truth, z = 4.5, label = "poisson subset")
   }
@@ -61,7 +61,7 @@ class PpsSpec extends AnyFunSuite {
     val subset = (0 until 50 by 2).toSet
     val reps = 4000
     val ests = (0 until reps).map { r =>
-      Pps.poissonSample(items, 20, seed = 900 + r).collect { case e if subset(e.item) => e.count }.sum
+      poissonSample(items, 20, seed = 900 + r).collect { case e if subset(e.item) => e.count }.sum
     }
     val mc = variance(ests)
     val theory = Pps.poissonVariance(items, 20)(subset.contains)
@@ -71,7 +71,7 @@ class PpsSpec extends AnyFunSuite {
   test("rejects an infinite weight, naming it") {
     val e = intercept[IllegalArgumentException](Pps.inclusionProbabilities(Seq(1.0, Double.PositiveInfinity, 2.0), 2))
     assert(e.getMessage.contains("got Infinity"), e.getMessage)
-    assertThrows[IllegalArgumentException](Pps.poissonSample(Seq("a" -> Double.PositiveInfinity), 1, 1))
+    assertThrows[IllegalArgumentException](poissonSample(Seq("a" -> Double.PositiveInfinity), 1, 1))
   }
 
   test("rejects invalid arguments") {
