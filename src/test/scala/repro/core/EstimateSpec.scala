@@ -236,7 +236,7 @@ class SketchSummarySpec extends AnyFunSuite {
     val queries = (-3 until 403).toVector
     val sets = Seq(Set(1, 2, 3), (0 until 400 by 9).toSet, (0 until 30).toSet, queries.toSet)
     // Query first, so the originals have built their index before they are written.
-    assert(summary.contains(summary.entries.head.item) && sample.contains(sample.entries.head.item))
+    assert(summary.contains(summary.entries.head.item))
     val before = sets.map(s => bits(summary.subsetSumOf(s)))
     val summaryCopy = roundTrip(summary)
     val sampleCopy = roundTrip(sample)
@@ -244,7 +244,6 @@ class SketchSummarySpec extends AnyFunSuite {
     queries.foreach { x =>
       assert(bits(summaryCopy.estimate(x)) == bits(summary.estimate(x)), s"estimate($x)")
       assert(summaryCopy.contains(x) == summary.contains(x), s"contains($x)")
-      assert(sampleCopy.contains(x) == sample.contains(x), s"sample contains($x)")
     }
     assert(sets.map(s => bits(summaryCopy.subsetSumOf(s))) == before)
     sets.foreach(s => assert(bits(sampleCopy.subsetSumOf(s)) == bits(sample.subsetSumOf(s))))

@@ -2,7 +2,7 @@ package repro.sampling
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil._
-import repro.core.Estimate
+import repro.core.{Estimate, HtEntry, Rng}
 import scala.util.Random
 
 class PrioritySamplingSpec extends AnyFunSuite {
@@ -40,7 +40,7 @@ class PrioritySamplingSpec extends AnyFunSuite {
     (0 until 50).foreach { r =>
       val s = PrioritySampling.sample(items, m = 30, seed = 100 + r)
       (0 until 5).foreach { i =>
-        assert(s.contains(i), s"heavy item $i missing at seed $r")
+        assert(s.entries.exists(_.item == i), s"heavy item $i missing at seed $r")
         assert(adjustedWeight(s, i) == 200.0, "certainty items keep exact weights")
       }
     }
@@ -194,6 +194,39 @@ class BottomKSpec extends AnyFunSuite {
     val e = intercept[IllegalArgumentException](bk.update(2, Double.PositiveInfinity))
     assert(e.getMessage.contains("got Infinity"), e.getMessage)
     assert(bk.totalWeight == 2.0 && bk.result == HtSample(Vector(repro.core.HtEntry(1, 2.0, 2.0)), 1.0))
+  }
+
+  test("equal hashes break by first arrival, as in a brute-force reference") {
+    // Strings of "Aa"/"BB" blocks with the same suffix share `##`, so they share a hash.
+    val combos = Vector("Aa", "BB").flatMap(a => Vector("Aa", "BB").flatMap(b => Vector("Aa", "BB").map(a + b + _)))
+    val rng = new Random(41)
+    var (tiedTrials, prunedTrials) = (0, 0)
+    (0 until 300).foreach { trial =>
+      val k = 1 + rng.nextInt(12)
+      val seed = rng.nextLong()
+      val pool = ('a' until ('a' + 1 + rng.nextInt(6)).toChar).flatMap(c => combos.map(_ + c))
+      val stream = Vector.fill(20 + rng.nextInt(300))(pool(rng.nextInt(pool.size)) -> (0.1 + rng.nextDouble()))
+      val bk = BottomK[String](k, seed)
+      stream.foreach { case (i, w) => bk.update(i, w) }
+
+      // The reference: the sketch's hash formula, exact totals in first-arrival
+      // order, a stable sort on hash and the first k+1 items.
+      def hash(item: String): Double = {
+        val z = Rng.mix64((item.## & 0xffffffffL) ^ (seed * 0x9e3779b97f4a7c15L))
+        math.max((z >>> 11).toDouble / (1L << 53).toDouble, Double.MinPositiveValue)
+      }
+      val sums = stream.groupMapReduce(_._1)(_._2)(_ + _)
+      val sorted = stream.map(_._1).distinct.sortBy(hash)
+      val tau = if (sorted.size <= k) 1.0 else hash(sorted(k))
+      val expected = HtSample(sorted.take(k).map(i => HtEntry(i, sums(i), sums(i) / tau)), tau)
+      assert(bk.result == expected, s"trial $trial (k = $k, seed = $seed)")
+
+      val hashes = sorted.take(k + 2).map(hash)
+      if (hashes.distinct.size < hashes.size) tiedTrials += 1
+      if (sorted.size > 2 * (k + 1)) prunedTrials += 1
+    }
+    assert(tiedTrials >= 50, s"only $tiedTrials trials had equal hashes among the k+2 smallest")
+    assert(prunedTrials >= 50, s"only $prunedTrials trials saw enough items to prune")
   }
 
   test("an item's membership is stable across arrival orders (hash-determined)") {
