@@ -1,7 +1,7 @@
 package repro.sampling
 
 import repro.core.{HtEntry, Rng}
-import scala.collection.immutable.TreeMap
+import scala.collection.mutable
 
 /** Bottom-k sketch (Cohen & Kaplan 2007) with uniform per-item hashes —
   * the "uniform sampling of items" comparator of figure 4. Streaming over
@@ -11,7 +11,13 @@ import scala.collection.immutable.TreeMap
   *
   * Because an item's hash never changes and the retention threshold only
   * shrinks, any item in the final sample entered the sketch at its first
-  * occurrence and was never evicted — so retained counts are exact.
+  * occurrence and was never evicted — so retained counts are exact. Equal
+  * hashes (distinct items with equal `##`) are ordered by first arrival.
+  *
+  * Space: the sketch keeps every item hashed below `cut`, and when more than
+  * 2(k+1) are kept it prunes them to the k+1 smallest and lowers `cut` to the
+  * (k+1)-th hash. So it holds at most 2k+3 items, and the sorts cost
+  * amortized O(log k) per inserted item.
   *
   * Subset-sum estimator (conditional Horvitz-Thompson): with τ the (k+1)-th
   * smallest distinct hash, every sampled item has conditional inclusion
@@ -20,10 +26,9 @@ import scala.collection.immutable.TreeMap
 final class BottomK[T](val k: Int, seed: Long) extends Serializable {
   require(k > 0, s"sample size must be positive, got k=$k")
 
-  // (hash, item) → accumulated weight; keeps the k+1 smallest-hash items.
-  private var retained = TreeMap.empty[(Double, Int), (T, Double)]
-  private val slot = scala.collection.mutable.HashMap.empty[T, (Double, Int)]
-  private var nextId = 0
+  // Items hashed below `cut` → accumulated weight, in first-arrival order.
+  private val kept = mutable.LinkedHashMap.empty[T, Double]
+  private var cut = Double.PositiveInfinity
   private var totalW = 0.0
 
   /** Fixed uniform hash u(item) ∈ (0,1): splitmix64 finalizer over the item's
@@ -39,38 +44,30 @@ final class BottomK[T](val k: Int, seed: Long) extends Serializable {
   def update(item: T, w: Double = 1.0): Unit = {
     require(w > 0 && w < Double.PositiveInfinity, s"weights must be positive and finite, got $w")
     totalW += w
-    slot.get(item) match {
-      case Some(key) =>
-        val (it, c) = retained(key)
-        retained = retained.updated(key, (it, c + w))
-      case None =>
-        val u = hashOf(item)
-        if (retained.size < k + 1) insert(u, item, w)
-        else {
-          val (maxKey, (maxItem, _)) = retained.last
-          if (u < maxKey._1) {
-            retained = retained - maxKey
-            slot.remove(maxItem)
-            insert(u, item, w)
-          }
-          // else: hash above the retention threshold — ignored forever.
+    kept.get(item) match {
+      case Some(c) => kept.update(item, c + w)
+      case None if hashOf(item) < cut =>
+        kept.update(item, w)
+        if (kept.size > 2 * (k + 1)) {
+          val keep = smallest.take(k + 1)
+          kept.clear()
+          kept ++= keep
+          cut = hashOf(keep.last._1)
         }
+      case None => // hash at or above the cut: ignored forever.
     }
   }
 
-  private def insert(u: Double, item: T, w: Double): Unit = {
-    val key = (u, nextId)
-    nextId += 1
-    retained = retained.updated(key, (item, w))
-    slot.update(item, key)
-  }
+  /** The kept items in hash order; a stable sort keeps equal hashes in arrival order. */
+  private def smallest: Vector[(T, Double)] = kept.toVector.sortBy(e => hashOf(e._1))
 
   /** The k retained items (smallest hashes) in hash order, each with its exact
     * count w and adjusted weight w/τ; τ = 1 if fewer than k+1 items were seen.
     */
   def result: HtSample[T] = {
-    val (kept, tau) = if (retained.size <= k) (retained, 1.0) else (retained.init, retained.last._1._1)
-    HtSample(kept.valuesIterator.map { case (i, c) => HtEntry(i, c, c / tau) }.toVector, tau)
+    val s = smallest
+    val (sample, tau) = if (s.size <= k) (s, 1.0) else (s.take(k), hashOf(s(k)._1))
+    HtSample(sample.map { case (i, c) => HtEntry(i, c, c / tau) }, tau)
   }
 }
 

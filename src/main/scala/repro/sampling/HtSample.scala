@@ -9,9 +9,6 @@ import repro.core.{Estimate, HtEntry}
   */
 final case class HtSample[T](entries: Vector[HtEntry[T]], tau: Double) {
 
-  /** Whether `item` is in the sample (Scala `==`, as `Set.contains`). */
-  def contains(item: T): Boolean = entries.exists(_.item == item)
-
   /** Unbiased subset-sum estimate Σ ŵ_i with the variance estimate
     * V̂ = Σ ŵ_i·(ŵ_i − w_i) over the sampled items of S. For priority sampling
     * it is zero for certainty items (ŵ = w); for bottom-k, where ŵ = w/τ, it
