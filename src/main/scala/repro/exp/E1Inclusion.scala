@@ -42,7 +42,7 @@ object E1Inclusion {
       val ids = (0 until nItems).filter(i => pis(i) > lo && pis(i) <= hi)
       if (ids.isEmpty) None
       else Some(BucketRow(
-        bucket = f"($lo%.2f,${math.min(hi, 1.0)}%.2f]",
+        bucket = f"($lo%.4f,${math.min(hi, 1.0)}%.4f]",
         items = ids.size,
         meanCount = Exp.mean(ids.map(counts(_).toDouble)),
         theoreticalPi = Exp.mean(ids.map(pis(_))),
