@@ -198,7 +198,8 @@ class BottomKSpec extends AnyFunSuite {
 
   test("equal hashes break by first arrival, as in a brute-force reference") {
     // Strings of "Aa"/"BB" blocks with the same suffix share `##`, so they share a hash.
-    val combos = Vector("Aa", "BB").flatMap(a => Vector("Aa", "BB").flatMap(b => Vector("Aa", "BB").map(a + b + _)))
+    val blocks = Vector("Aa", "BB")
+    val combos = for (a <- blocks; b <- blocks; c <- blocks) yield a + b + c
     val rng = new Random(41)
     var (tiedTrials, prunedTrials) = (0, 0)
     (0 until 300).foreach { trial =>
