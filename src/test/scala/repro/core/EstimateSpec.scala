@@ -70,6 +70,39 @@ class SketchSummarySpec extends AnyFunSuite {
     assert(s.topK(0).isEmpty)
   }
 
+  test("topK and frequentItems equal a stable sort on count over tied, reordered summaries") {
+    val r = new java.util.SplittableRandom(19)
+    def shuffled[A](xs: Vector[A]): Vector[A] = {
+      val a = xs.toArray[Any]
+      (a.length - 1 to 1 by -1).foreach { i =>
+        val j = r.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t
+      }
+      a.toVector.asInstanceOf[Vector[A]]
+    }
+    var tiedTops = 0
+    (0 until 300).foreach { trial =>
+      // Counts from four small integers, so most bins tie; every tenth
+      // summary also draws the values a total order sorts apart from `<`.
+      val pool = if (trial % 10 == 9) Vector(0.0, -0.0, 1.0, 2.0, Double.NaN, Double.PositiveInfinity)
+                 else Vector(1.0, 2.0, 3.0, 4.0)
+      val n = r.nextInt(60)
+      val bins = Vector.tabulate(n)(i => Entry(s"i$i", pool(r.nextInt(pool.size))))
+      Seq(bins.sortBy(_.count), bins.sortBy(-_.count), shuffled(bins)).foreach { entries =>
+        val s = SketchSummary(entries, minCount = 1.0, total = entries.map(_.count).sum, m = n)
+        Seq(-1, 0, 1, n - 1, n, n + 5).foreach { k =>
+          assert(s.topK(k) == entries.sortBy(-_.count).take(k), s"topK($k) of $entries")
+        }
+        val cuts = pool.filter(c => c > 0 && c < s.total).flatMap(c => Seq(c - 0.5, c).map(_ / s.total))
+        cuts.filter(phi => phi > 0 && phi < 1).foreach { phi =>
+          assert(s.frequentItems(phi) == entries.filter(_.count > phi * s.total).sortBy(-_.count),
+                 s"frequentItems($phi) of $entries")
+        }
+        if (n >= 2 && s.topK(2).map(_.count).distinct.size == 1) tiedTops += 1
+      }
+    }
+    assert(tiedTops >= 100, s"only $tiedTops summaries tie at the top")
+  }
+
   test("size reports occupied bins") {
     assert(s.size == 4)
   }
