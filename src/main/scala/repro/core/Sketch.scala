@@ -89,14 +89,72 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     eq5(sum, marked.cardinality)
   }
 
-  /** Items with estimated relative frequency above `phi` (frequent items). */
+  /** Items with estimated relative frequency above `phi` (frequent items),
+    * largest first: the leading run of `topK(size)` above the threshold.
+    */
   def frequentItems(phi: Double): Vector[Entry[T]] = {
     require(phi > 0 && phi < 1, s"phi must be in (0,1), got $phi")
-    entries.filter(_.count > phi * total).sortBy(-_.count)
+    topK(size).takeWhile(_.count > phi * total)
   }
 
-  /** The k bins with the largest estimated counts. */
-  def topK(k: Int): Vector[Entry[T]] = entries.sortBy(-_.count).take(k)
+  /** The k bins with the largest estimated counts, largest first, equal
+    * counts in entry order: a stable sort on count, cut to k (all bins when
+    * k > size, none when k <= 0).
+    *
+    * Selection in O(n log k): a min-heap of at most k positions keeps the
+    * candidates, weakest at the root. The weakest has the smallest count and,
+    * among equal counts, the latest position. A later bin replaces it only
+    * with a strictly larger count. Counts are ranked by the key a sort on
+    * `-count` uses, compared by `Double.compare` (so a NaN count ranks below
+    * every other), in a primitive array with no boxing.
+    */
+  def topK(k: Int): Vector[Entry[T]] = {
+    val want = math.min(math.max(k, 0), entries.size)
+    if (want == 0) return Vector.empty
+    val key = new Array[Double](entries.size)
+    var n = 0
+    entries.foreach { e => key(n) = -e.count; n += 1 }
+    val heap = new Array[Int](want)
+    def weaker(a: Int, b: Int): Boolean = {
+      val c = java.lang.Double.compare(key(a), key(b))
+      c > 0 || (c == 0 && a > b)
+    }
+    // Moves the root down to its place among the first `until` slots.
+    def siftDown(until: Int): Unit = {
+      val p = heap(0)
+      var i = 0
+      var child = 1
+      while (child < until) {
+        if (child + 1 < until && weaker(heap(child + 1), heap(child))) child += 1
+        if (weaker(heap(child), p)) { heap(i) = heap(child); i = child; child = 2 * i + 1 }
+        else child = until
+      }
+      heap(i) = p
+    }
+    // The first `want` bins fill the heap; each later bin is weaker than
+    // every candidate it ties, so it enters only with a larger count.
+    var b = 0
+    while (b < want) {
+      var i = b
+      while (i > 0 && weaker(b, heap((i - 1) / 2))) { heap(i) = heap((i - 1) / 2); i = (i - 1) / 2 }
+      heap(i) = b
+      b += 1
+    }
+    while (b < n) {
+      if (weaker(heap(0), b)) { heap(0) = b; siftDown(want) }
+      b += 1
+    }
+    // Pop the weakest to the back until the heap is empty.
+    val out = new Array[Entry[T]](want)
+    var left = want
+    while (left > 0) {
+      left -= 1
+      out(left) = entries(heap(0))
+      heap(0) = heap(left)
+      siftDown(left)
+    }
+    out.toVector
+  }
 
   /** Number of occupied bins. */
   def size: Int = entries.size
