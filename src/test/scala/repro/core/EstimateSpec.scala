@@ -260,7 +260,7 @@ class SketchSummarySpec extends AnyFunSuite {
     assertIndexMatchesMap(empty, Seq("a", "", null))
   }
 
-  test("a Java-serialized summary and HT sample answer queries with the same bits after their index is built") {
+  test("a Java-serialized summary and HT sample answer with the original bits") {
     val sk = UnbiasedSpaceSaving[Int](64, seed = 23)
     val r = new java.util.SplittableRandom(24)
     (0 until 5000).foreach(_ => sk.update((400 * math.pow(r.nextDouble(), 3)).toInt, 0.5 + r.nextDouble()))
@@ -268,7 +268,8 @@ class SketchSummarySpec extends AnyFunSuite {
     val sample = repro.sampling.PrioritySampling.sample((0 until 300).map(i => i -> (1.0 + i % 11)), m = 40, seed = 25)
     val queries = (-3 until 403).toVector
     val sets = Seq(Set(1, 2, 3), (0 until 400 by 9).toSet, (0 until 30).toSet, queries.toSet)
-    // Query first, so the originals have built their index before they are written.
+    // Query first, so the summary has built its transient index before it is
+    // written: the copy must build its own.
     assert(summary.contains(summary.entries.head.item))
     val before = sets.map(s => bits(summary.subsetSumOf(s)))
     val summaryCopy = roundTrip(summary)
