@@ -9,6 +9,12 @@ import scala.collection.mutable
   * u(item); the k items with the smallest hashes are retained together with
   * their exact accumulated counts.
   *
+  * The hash is a function of the item's 32-bit `##` alone, so distinct items
+  * with equal `##` (such as "Aa" and "BB") share one hash: they enter and
+  * leave the sample together, and the Horvitz-Thompson weight below, which
+  * assumes independent hashes, does not hold for them. T3's distinct `Int`s
+  * and T10's decimal order-key strings have no equal `##`.
+  *
   * Because an item's hash never changes and the retention threshold only
   * shrinks, any item in the final sample entered the sketch at its first
   * occurrence and was never evicted — so retained counts are exact. Equal
