@@ -101,47 +101,49 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     * counts in entry order: a stable sort on count, cut to k (all bins when
     * k > size, none when k <= 0).
     *
-    * Selection in O(n log k): a min-heap of at most k positions keeps the
-    * candidates, weakest at the root. The weakest has the smallest count and,
-    * among equal counts, the latest position. A later bin replaces it only
-    * with a strictly larger count. Counts are ranked by the key a sort on
-    * `-count` uses, compared by `Double.compare` (so a NaN count ranks below
-    * every other), in a primitive array with no boxing.
+    * Selection in O(n log k) with no boxing: one pass over the bins keeps at
+    * most k candidates in a binary min-heap, the weakest at the root. The
+    * weakest has the smallest count and, among equal counts, the latest
+    * position. A later bin replaces it only with a strictly larger count.
+    * The heap is then popped into descending order. A count ranks by the key
+    * of a sort on `-count`, as a `Long` that orders as `Double.compare`
+    * orders the key, so NaN and -0.0 counts rank as the sort ranks them.
     */
   def topK(k: Int): Vector[Entry[T]] = {
     val want = math.min(math.max(k, 0), entries.size)
     if (want == 0) return Vector.empty
-    val key = new Array[Double](entries.size)
-    var n = 0
-    entries.foreach { e => key(n) = -e.count; n += 1 }
-    val heap = new Array[Int](want)
-    def weaker(a: Int, b: Int): Boolean = {
-      val c = java.lang.Double.compare(key(a), key(b))
-      c > 0 || (c == 0 && a > b)
-    }
-    // Moves the root down to its place among the first `until` slots.
-    def siftDown(until: Int): Unit = {
-      val p = heap(0)
+    // The candidates in heap order: the rank key and the position of each.
+    val key = new Array[Long](want)
+    val pos = new Array[Int](want)
+    // Whether (x, p) ranks after (y, q): a larger key, or an equal key and a
+    // later position.
+    def after(x: Long, p: Int, y: Long, q: Int): Boolean = x > y || (x == y && p > q)
+    // Puts (x, p) at the root and moves it down among the first `until` slots.
+    def sink(x: Long, p: Int, until: Int): Unit = {
       var i = 0
       var child = 1
       while (child < until) {
-        if (child + 1 < until && weaker(heap(child + 1), heap(child))) child += 1
-        if (weaker(heap(child), p)) { heap(i) = heap(child); i = child; child = 2 * i + 1 }
-        else child = until
+        if (child + 1 < until && after(key(child + 1), pos(child + 1), key(child), pos(child))) child += 1
+        if (after(key(child), pos(child), x, p)) {
+          key(i) = key(child); pos(i) = pos(child); i = child; child = 2 * i + 1
+        } else child = until
       }
-      heap(i) = p
+      key(i) = x; pos(i) = p
     }
-    // The first `want` bins fill the heap; each later bin is weaker than
-    // every candidate it ties, so it enters only with a larger count.
+    // The first `want` bins fill the heap. A later bin ranks after every
+    // candidate it ties, so it enters only with a smaller key.
     var b = 0
-    while (b < want) {
-      var i = b
-      while (i > 0 && weaker(b, heap((i - 1) / 2))) { heap(i) = heap((i - 1) / 2); i = (i - 1) / 2 }
-      heap(i) = b
-      b += 1
-    }
-    while (b < n) {
-      if (weaker(heap(0), b)) { heap(0) = b; siftDown(want) }
+    val it = entries.iterator
+    while (it.hasNext) {
+      val bits = java.lang.Double.doubleToLongBits(-it.next().count)
+      val x = bits ^ ((bits >> 63) & Long.MaxValue)
+      if (b < want) {
+        var i = b
+        while (i > 0 && after(x, b, key((i - 1) / 2), pos((i - 1) / 2))) {
+          key(i) = key((i - 1) / 2); pos(i) = pos((i - 1) / 2); i = (i - 1) / 2
+        }
+        key(i) = x; pos(i) = b
+      } else if (x < key(0)) sink(x, b, want)
       b += 1
     }
     // Pop the weakest to the back until the heap is empty.
@@ -149,9 +151,8 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     var left = want
     while (left > 0) {
       left -= 1
-      out(left) = entries(heap(0))
-      heap(0) = heap(left)
-      siftDown(left)
+      out(left) = entries(pos(0))
+      sink(key(left), pos(left), left)
     }
     out.toVector
   }
