@@ -131,11 +131,13 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
       key(i) = x; pos(i) = p
     }
     // The first `want` bins fill the heap. A later bin ranks after every
-    // candidate it ties, so it enters only with a smaller key.
+    // candidate it ties, so it enters only with a smaller key. The scan is a
+    // `foreach` body, not a loop here: the body is compiled after a few
+    // hundred bins, while a loop in a method called once per answer would
+    // run interpreted for its first dozen calls.
     var b = 0
-    val it = entries.iterator
-    while (it.hasNext) {
-      val bits = java.lang.Double.doubleToLongBits(-it.next().count)
+    entries.foreach { e =>
+      val bits = java.lang.Double.doubleToLongBits(-e.count)
       val x = bits ^ ((bits >> 63) & Long.MaxValue)
       if (b < want) {
         var i = b
