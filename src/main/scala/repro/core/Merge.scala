@@ -49,28 +49,28 @@ object Merge {
   def pairwiseUnbiased[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
     val (acc, total) = combine(sketches)
     val rng = Rng(seed)
-    // Min-heap of (count, tie-break) keys over ids into `items`; the ties are
-    // drawn in `acc`'s iteration order.
+    // Min-heap of (count bits, tie-break) keys over ids into `items`; the
+    // ties are drawn in `acc`'s iteration order.
     val items = new Array[Any](acc.size)
     val heap = new KeyHeap(acc.size)
     acc.foreach { case (i, c) =>
       val id = heap.size
       items(id) = i
-      heap.push(c, rng.nextLong(), id)
+      heap.push(KeyHeap.bits(c), rng.nextLong(), id)
     }
     while (heap.size > m) {
-      val c1 = heap.count(0); val i1 = heap.id(0)
+      val c1 = KeyHeap.count(heap.key(0)); val i1 = heap.id(0)
       heap.pop()
-      val c2 = heap.count(0); val i2 = heap.id(0)
+      val c2 = KeyHeap.count(heap.key(0)); val i2 = heap.id(0)
       val c = c1 + c2
       // As an update's miss: relabel the minimum, then re-key the root.
       if (rng.nextDouble() < c1 / c) items(i2) = items(i1)
-      heap.rekey(0, c, rng.nextLong())
+      heap.rekey(0, KeyHeap.bits(c), rng.nextLong())
     }
     // Survivors in ascending (count, tie-break) order.
     val entries = Vector.newBuilder[Entry[T]]
     while (heap.size > 0) {
-      entries += Entry(items(heap.id(0)).asInstanceOf[T], heap.count(0))
+      entries += Entry(items(heap.id(0)).asInstanceOf[T], KeyHeap.count(heap.key(0)))
       heap.pop()
     }
     UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), entries.result(), total)

@@ -1,5 +1,7 @@
 package repro.core
 
+import KeyHeap.{bits, count}
+
 /** Shared machinery for the two Space Saving variants (Algorithm 1).
   *
   * State is m bins, each an (item, count) pair, plus:
@@ -9,7 +11,8 @@ package repro.core
   *    the null item allowed), entered as bins fill and removed on relabel,
   *  - an indexed binary min-heap over bins keyed by (count, tieBreak) so the
   *    smallest bin is found in O(1) and updates cost O(log m). The heap holds
-  *    the keys themselves in heap order (`KeyHeap`), so counts live there.
+  *    the keys themselves in heap order (`KeyHeap`), so counts live there, as
+  *    their raw bits.
   *
   * The tie-break key is re-randomized every time a bin's count changes, which
   * realizes the paper's assumption (§6.1) that when several bins share the
@@ -50,12 +53,12 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   /** N̂_min: count of the smallest bin, or 0 while the sketch is not full
     * (conceptually the remaining bins hold count 0).
     */
-  def minCount: Double = if (heap.size < m) 0.0 else heap.count(0)
+  def minCount: Double = if (heap.size < m) 0.0 else count(heap.key(0))
 
   /** Point estimate for one item: its bin count if it labels a bin, else 0. */
   def estimate(item: T): Double = {
     val b = index(item)
-    if (b >= 0) heap.count(heap.slotOf(b)) else 0.0
+    if (b >= 0) count(heap.key(heap.slotOf(b))) else 0.0
   }
 
   /** Whether `item` currently labels a bin. */
@@ -73,7 +76,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
     val b = index(item)
     if (b >= 0) {
       val s = heap.slotOf(b)
-      heap.rekey(s, heap.count(s) + w, rng.nextLong())
+      heap.rekey(s, bits(count(heap.key(s)) + w), rng.nextLong())
     } else if (isNaN(item)) {
       throw new IllegalArgumentException(s"items must not be NaN, got $item")
     } else if (heap.size < m) {
@@ -81,16 +84,16 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
       val nb = heap.size
       labels(nb) = item
       index.put(nb)
-      heap.push(w, rng.nextLong(), nb)
+      heap.push(bits(w), rng.nextLong(), nb)
     } else {
       val mb = heap.id(0)
-      val nmin = heap.count(0)
+      val nmin = count(heap.key(0))
       if (rng.nextDouble() < replaceProb(nmin, w)) {
         index.remove(mb)
         labels(mb) = item
         index.put(mb)
       }
-      heap.rekey(0, nmin + w, rng.nextLong())
+      heap.rekey(0, bits(nmin + w), rng.nextLong())
     }
     totalW += w
   }
@@ -106,7 +109,7 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   /** Current bins as entries, in bin order. */
   def entriesVector: Vector[Entry[T]] =
     (0 until heap.size).iterator
-      .map(b => Entry(labels(b).asInstanceOf[T], heap.count(heap.slotOf(b)))).toVector
+      .map(b => Entry(labels(b).asInstanceOf[T], count(heap.key(heap.slotOf(b))))).toVector
 
   private def readObject(in: java.io.ObjectInputStream): Unit = {
     in.defaultReadObject()
@@ -137,60 +140,61 @@ abstract class SpaceSavingBase[T](val m: Int, val seed: Long) extends Serializab
   }
 }
 
-/** Binary min-heap of (count, tie) keys, each carrying an int id in
+/** Binary min-heap of (key, tie) `Long` pairs, each carrying an int id in
   * [0, capacity). Keys sit inline in heap order, so comparisons read two
   * parallel arrays instead of following a bin index; `slotOf(id)` is where an
-  * id currently sits. Sifts move a hole instead of swapping.
+  * id currently sits. Sifts move a hole instead of swapping. The sketch and
+  * the pairwise merge key a bin by `KeyHeap.bits` of its count.
   *
-  * Contract: keys compare by count, then tie, and every sift picks the same
-  * slots as the textbook swap-based sift, equal keys included: a key sinks
+  * Contract: pairs compare by key, then tie, and every sift picks the same
+  * slots as the textbook swap-based sift, equal pairs included: a pair sinks
   * into its smaller child (the right one only when strictly smaller) while
   * that child is strictly smaller, and rises while strictly smaller than its
   * parent. So which slot each id sits in, and every output read from the
-  * heap, depends only on the operations and their (count, tie) keys, not on
+  * heap, depends only on the operations and their (key, tie) pairs, not on
   * how a sift is coded.
   *
   * `siftDown` picks the smaller child without a branch: the tie keys are
   * random, so on a stream whose bins mostly share N̂_min the "right child
   * wins" outcome is a coin flip that a predicted branch gets wrong half the
-  * time. It reads the right child's key before knowing the child exists,
-  * which is why `count` and `tie` carry one spare slot past `capacity`;
+  * time. It reads the right child's pair before knowing the child exists,
+  * which is why `key` and `tie` carry one spare slot past `capacity`;
   * whatever sits there is masked out of the pick.
   */
 private[core] final class KeyHeap(capacity: Int) extends Serializable {
-  val count = new Array[Double](capacity + 1)
-  private val tie = new Array[Long](capacity + 1)
+  val key = new Array[Long](capacity + 1)
+  val tie = new Array[Long](capacity + 1)
   val id = new Array[Int](capacity)
   val slotOf = new Array[Int](capacity)
   var size = 0
 
-  private def less(c1: Double, t1: Long, c2: Double, t2: Long): Boolean =
-    c1 < c2 || (c1 == c2 && t1 < t2)
+  private def less(k1: Long, t1: Long, k2: Long, t2: Long): Boolean =
+    k1 < k2 || (k1 == k2 && t1 < t2)
 
-  def push(c: Double, t: Long, i: Int): Unit = {
+  def push(k: Long, t: Long, i: Int): Unit = {
     val s = size
     size += 1
-    siftUp(s, c, t, i)
+    siftUp(s, k, t, i)
   }
 
-  /** Give the key at slot `s` the new key (c, t) and restore heap order. */
-  def rekey(s: Int, c: Double, t: Long): Unit = {
+  /** Give the pair at slot `s` the new pair (k, t) and restore heap order. */
+  def rekey(s: Int, k: Long, t: Long): Unit = {
     val i = id(s)
-    if (siftDown(s, c, t, i) == s) siftUp(s, c, t, i)
+    if (siftDown(s, k, t, i) == s) siftUp(s, k, t, i)
   }
 
   /** Remove the minimum. */
   def pop(): Unit = {
     size -= 1
-    if (size > 0) siftDown(0, count(size), tie(size), id(size))
+    if (size > 0) siftDown(0, key(size), tie(size), id(size))
   }
 
-  private def place(s: Int, c: Double, t: Long, i: Int): Unit = {
-    count(s) = c; tie(s) = t; id(s) = i; slotOf(i) = s
+  private def place(s: Int, k: Long, t: Long, i: Int): Unit = {
+    key(s) = k; tie(s) = t; id(s) = i; slotOf(i) = s
   }
 
-  /** Sift (c, t, i) down from the hole at `s0`; returns its final slot. */
-  private def siftDown(s0: Int, c: Double, t: Long, i: Int): Int = {
+  /** Sift (k, t, i) down from the hole at `s0`; returns its final slot. */
+  private def siftDown(s0: Int, k: Long, t: Long, i: Int): Int = {
     var s = s0
     var l = 2 * s + 1
     var done = false
@@ -198,28 +202,36 @@ private[core] final class KeyHeap(capacity: Int) extends Serializable {
       val r = l + 1
       // Smaller child, right only on a strict win (as the textbook pick);
       // non-short-circuit & and | keep it a data dependency, not a branch.
-      val ch = l + ((r < size) & ((count(r) < count(l)) | ((count(r) == count(l)) & (tie(r) < tie(l))))).compare(false)
-      val cc = count(ch)
+      val ch = l + ((r < size) & ((key(r) < key(l)) | ((key(r) == key(l)) & (tie(r) < tie(l))))).compare(false)
+      val ck = key(ch)
       val ct = tie(ch)
-      if (less(cc, ct, c, t)) {
-        place(s, cc, ct, id(ch))
+      if (less(ck, ct, k, t)) {
+        place(s, ck, ct, id(ch))
         s = ch
         l = 2 * s + 1
       } else done = true
     }
-    place(s, c, t, i)
+    place(s, k, t, i)
     s
   }
 
-  /** Sift (c, t, i) up from the hole at `s0`. */
-  private def siftUp(s0: Int, c: Double, t: Long, i: Int): Unit = {
+  /** Sift (k, t, i) up from the hole at `s0`. */
+  private def siftUp(s0: Int, k: Long, t: Long, i: Int): Unit = {
     var s = s0
     var p = (s - 1) / 2
-    while (s > 0 && less(c, t, count(p), tie(p))) {
-      place(s, count(p), tie(p), id(p))
+    while (s > 0 && less(k, t, key(p), tie(p))) {
+      place(s, key(p), tie(p), id(p))
       s = p
       p = (s - 1) / 2
     }
-    place(s, c, t, i)
+    place(s, k, t, i)
   }
+}
+
+private[core] object KeyHeap {
+  /** A positive count as a key: its raw bits, which order and compare equal
+    * as positive doubles, +∞ included, do. `count` reads it back.
+    */
+  def bits(c: Double): Long = java.lang.Double.doubleToRawLongBits(c)
+  def count(k: Long): Double = java.lang.Double.longBitsToDouble(k)
 }

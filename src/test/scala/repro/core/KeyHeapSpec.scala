@@ -4,14 +4,16 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
 /** Randomized differential test of `KeyHeap` against a sorted reference and
-  * the textbook swap-based heap. Keys come from a small domain, so many share
-  * a count and some share (count, tie) outright; capacities are small and
-  * often reached, so the right-child read at `size == capacity` (the spare
-  * slot) and at `size < capacity` (a stale slot) both happen.
+  * the textbook swap-based heap. Keys and ties come from a small signed
+  * domain with both ends of `Long` in it, since `topK`'s keys span the whole
+  * signed range; so many pairs share a key and some share (key, tie)
+  * outright. Capacities are small and often reached, so the right-child read
+  * at `size == capacity` (the spare slot) and at `size < capacity` (a stale
+  * slot) both happen.
   */
 class KeyHeapSpec extends AnyFunSuite {
 
-  private type Key = (Double, Long)
+  private type Key = (Long, Long)
 
   /** The swap-based sift: sink into the smaller child (the right one only
     * when strictly smaller) while it is strictly smaller; rise while strictly
@@ -52,6 +54,9 @@ class KeyHeapSpec extends AnyFunSuite {
     def pop(): Unit = { size -= 1; if (size > 0) { key(0) = key(size); id(0) = id(size); down(0) } }
   }
 
+  private val keys = Array(Long.MinValue, -1L, 0L, 1L, Long.MaxValue)
+  private val ties = Array(Long.MinValue, 0L, Long.MaxValue)
+
   test("KeyHeap matches a sorted reference and the swap-based heap slot for slot") {
     val r = new java.util.SplittableRandom(8)
     val ops = mutable.Map("push" -> 0, "rekeyUp" -> 0, "rekeyDown" -> 0, "rekeyRoot" -> 0, "pop" -> 0)
@@ -62,7 +67,7 @@ class KeyHeapSpec extends AnyFunSuite {
       val heap = new KeyHeap(capacity)
       val swap = new SwapHeap(capacity)
       val ref = mutable.Map.empty[Int, Key] // id -> key: the reference multiset
-      def key(): Key = ((1 + r.nextInt(4)).toDouble, r.nextInt(3).toLong)
+      def key(): Key = (keys(r.nextInt(keys.length)), ties(r.nextInt(ties.length)))
       def freeId(): Int = Iterator.continually(r.nextInt(capacity)).find(!ref.contains(_)).get
 
       def check(op: String): Unit = {
@@ -71,11 +76,11 @@ class KeyHeapSpec extends AnyFunSuite {
         (0 until heap.size).foreach { s =>
           assert(heap.slotOf(heap.id(s)) == s, s"$where: slotOf(id($s)) != $s")
           assert(heap.id(s) == swap.id(s), s"$where: slot $s holds id ${heap.id(s)}, swap heap ${swap.id(s)}")
-          assert(heap.count(s) == ref(heap.id(s))._1, s"$where: slot $s count")
+          assert(heap.key(s) == ref(heap.id(s))._1 && heap.tie(s) == ref(heap.id(s))._2, s"$where: slot $s key")
         }
         if (ref.nonEmpty) {
           val min = ref.values.toSeq.sorted.head
-          assert(ref(heap.id(0)) == min && heap.count(0) == min._1, s"$where: min ${ref(heap.id(0))} != $min")
+          assert(ref(heap.id(0)) == min && heap.key(0) == min._1, s"$where: min ${ref(heap.id(0))} != $min")
         }
         if (ref.values.toSeq.distinct.size < ref.size) sharedKeys += 1
       }
@@ -130,5 +135,20 @@ class KeyHeapSpec extends AnyFunSuite {
     ops.foreach { case (op, n) => assert(n > 1000, s"only $n $op operations") }
     assert(sharedKeys > 1000, s"only $sharedKeys states with identical keys")
     assert(spareSlotSteps > 1000, s"only $spareSlotSteps steps at the spare-slot edge")
+  }
+
+  test("positive doubles order and compare equal as their raw bits, so the sketch's count keys keep every decision") {
+    val r = new java.util.SplittableRandom(9)
+    val special = Seq(Double.MinPositiveValue, java.lang.Double.MIN_NORMAL / 3, 1.0, Double.MaxValue, Double.PositiveInfinity)
+    // Uniform bits from the smallest subnormal to +∞ spread over every
+    // exponent; each value comes with its neighbours, so some pairs are one
+    // ulp apart and every value meets itself.
+    val random = Seq.fill(300)(java.lang.Double.longBitsToDouble(1 + r.nextLong(0x7ff0000000000000L)))
+    val values = (special ++ random).flatMap(c => Seq(c, math.nextUp(c), math.nextDown(c))).filter(_ > 0).toArray
+    for (a <- values; b <- values) {
+      val (x, y) = (KeyHeap.bits(a), KeyHeap.bits(b))
+      assert((x < y) == (a < b) && (x == y) == (a == b), s"$a vs $b: bits $x vs $y")
+    }
+    values.foreach(c => assert(KeyHeap.count(KeyHeap.bits(c)).equals(c), s"$c does not read back"))
   }
 }
