@@ -102,59 +102,39 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     * k > size, none when k <= 0).
     *
     * Selection in O(n log k) with no boxing: one pass over the bins keeps at
-    * most k candidates in a binary min-heap, the weakest at the root. The
-    * weakest has the smallest count and, among equal counts, the latest
-    * position. A later bin replaces it only with a strictly larger count.
-    * The heap is then popped into descending order. A count ranks by the key
-    * of a sort on `-count`, as a `Long` that orders as `Double.compare`
-    * orders the key, so NaN and -0.0 counts rank as the sort ranks them.
+    * most k candidates in a `KeyHeap`, the weakest at the root. The weakest
+    * has the smallest count and, among equal counts, the latest position. A
+    * later bin replaces it only with a strictly larger count. The heap is
+    * then popped into descending order. A count ranks by the key of a sort
+    * on `-count`, as a `Long` that orders as `Double.compare` orders the
+    * key, so NaN and -0.0 counts rank as the sort ranks them. The heap key
+    * and tie are the complements of that rank and of the position.
     */
   def topK(k: Int): Vector[Entry[T]] = {
     val want = math.min(math.max(k, 0), entries.size)
     if (want == 0) return Vector.empty
-    // The candidates in heap order: the rank key and the position of each.
-    val key = new Array[Long](want)
-    val pos = new Array[Int](want)
-    // Whether (x, p) ranks after (y, q): a larger key, or an equal key and a
-    // later position.
-    def after(x: Long, p: Int, y: Long, q: Int): Boolean = x > y || (x == y && p > q)
-    // Puts (x, p) at the root and moves it down among the first `until` slots.
-    def sink(x: Long, p: Int, until: Int): Unit = {
-      var i = 0
-      var child = 1
-      while (child < until) {
-        if (child + 1 < until && after(key(child + 1), pos(child + 1), key(child), pos(child))) child += 1
-        if (after(key(child), pos(child), x, p)) {
-          key(i) = key(child); pos(i) = pos(child); i = child; child = 2 * i + 1
-        } else child = until
-      }
-      key(i) = x; pos(i) = p
-    }
+    val heap = new KeyHeap(want)
     // The first `want` bins fill the heap. A later bin ranks after every
-    // candidate it ties, so it enters only with a smaller key. The scan is a
-    // `foreach` body, not a loop here: the body is compiled after a few
+    // candidate it ties, so it enters only with a larger heap key. The scan
+    // is a `foreach` body, not a loop here: the body is compiled after a few
     // hundred bins, while a loop in a method called once per answer would
     // run interpreted for its first dozen calls.
     var b = 0
     entries.foreach { e =>
       val bits = java.lang.Double.doubleToLongBits(-e.count)
-      val x = bits ^ ((bits >> 63) & Long.MaxValue)
-      if (b < want) {
-        var i = b
-        while (i > 0 && after(x, b, key((i - 1) / 2), pos((i - 1) / 2))) {
-          key(i) = key((i - 1) / 2); pos(i) = pos((i - 1) / 2); i = (i - 1) / 2
-        }
-        key(i) = x; pos(i) = b
-      } else if (x < key(0)) sink(x, b, want)
+      val x = ~(bits ^ ((bits >> 63) & Long.MaxValue))
+      if (b < want) heap.push(x, ~b, b)
+      else if (x > heap.key(0)) heap.rekey(0, x, ~b)
       b += 1
     }
-    // Pop the weakest to the back until the heap is empty.
+    // Pop the weakest to the back until the heap is empty. A re-keyed slot
+    // keeps its old id, so the position is read from the tie.
     val out = new Array[Entry[T]](want)
     var left = want
     while (left > 0) {
       left -= 1
-      out(left) = entries(pos(0))
-      sink(key(left), pos(left), left)
+      out(left) = entries((~heap.tie(0)).toInt)
+      heap.pop()
     }
     out.toVector
   }
