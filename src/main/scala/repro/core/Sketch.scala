@@ -48,15 +48,28 @@ object Estimate {
 final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
                                   total: Double, m: Int) {
 
-  // Item → its position in `entries`, built on first use, so a summary that
+  /** The bins as two columns in entry order, filled when the summary is made
+    * (by `apply`, `copy` or Java deserialization, which restores them), so
+    * every query reads flat arrays instead of `Entry` objects in a `Vector`.
+    */
+  private[core] val items = new Array[Any](entries.size)
+  private[core] val counts = new Array[Double](entries.size)
+  locally {
+    // A `foreach` body, compiled after a few hundred bins even where summaries
+    // are made too rarely for a loop here to be.
+    var b = 0
+    entries.foreach { e => items(b) = e.item; counts(b) = e.count; b += 1 }
+  }
+
+  // Item → its position, over `items`, built on first use, so a summary that
   // repeats an item fails at its first `estimate`, `contains` or
   // `subsetSumOf`. Transient: a deserialized copy builds its own.
-  @transient private lazy val index = new PositionIndex(entries.iterator.map[Any](_.item).toArray, entries.size)
+  @transient private lazy val index = new PositionIndex(items, items.length)
 
   /** Point estimate N̂_i for a single item (0 if not in the sketch). */
   def estimate(item: T): Double = {
     val b = index(item)
-    if (b >= 0) entries(b).count else 0.0
+    if (b >= 0) counts(b) else 0.0
   }
 
   /** Whether the item currently labels a bin (the Z_i indicator of Table 1). */
@@ -65,11 +78,16 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
   /** Unbiased subset-sum estimate N̂_S = Σ_{i∈S} N̂_i over items matching
     * `pred`, with the paper's variance estimate
     * `Var̂(N̂_S) = N̂_min² · C_S` (eq. 5) where C_S = max(1, #matching bins).
+    * Counts are added in bin order.
     */
   def subsetSum(pred: T => Boolean): Estimate = {
     var sum = 0.0
     var hits = 0
-    entries.foreach { e => if (pred(e.item)) { sum += e.count; hits += 1 } }
+    var b = 0
+    while (b < items.length) {
+      if (pred(items(b).asInstanceOf[T])) { sum += counts(b); hits += 1 }
+      b += 1
+    }
     eq5(sum, hits)
   }
 
@@ -81,11 +99,11 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     */
   def subsetSumOf(items: Set[T]): Estimate = {
     val ix = index
-    val marked = new java.util.BitSet(entries.size)
+    val marked = new java.util.BitSet(size)
     items.foreach { x => val b = ix(x); if (b >= 0) marked.set(b) }
     var sum = 0.0
     var b = marked.nextSetBit(0)
-    while (b >= 0) { sum += entries(b).count; b = marked.nextSetBit(b + 1) }
+    while (b >= 0) { sum += counts(b); b = marked.nextSetBit(b + 1) }
     eq5(sum, marked.cardinality)
   }
 
@@ -111,7 +129,7 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     * and tie are the complements of that rank and of the position.
     */
   def topK(k: Int): Vector[Entry[T]] = {
-    val want = math.min(math.max(k, 0), entries.size)
+    val want = math.min(math.max(k, 0), size)
     if (want == 0) return Vector.empty
     val heap = new KeyHeap(want)
     // The first `want` bins fill the heap. A later bin ranks after every
@@ -119,13 +137,11 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
     // is a `foreach` body, not a loop here: the body is compiled after a few
     // hundred bins, while a loop in a method called once per answer would
     // run interpreted for its first dozen calls.
-    var b = 0
-    entries.foreach { e =>
-      val bits = java.lang.Double.doubleToLongBits(-e.count)
+    counts.indices.foreach { b =>
+      val bits = java.lang.Double.doubleToLongBits(-counts(b))
       val x = ~(bits ^ ((bits >> 63) & Long.MaxValue))
       if (b < want) heap.push(x, ~b, b)
       else if (x > heap.key(0)) heap.rekey(0, x, ~b)
-      b += 1
     }
     // Pop the weakest to the back until the heap is empty. A re-keyed slot
     // keeps its old id, so the position is read from the tie.
@@ -140,5 +156,5 @@ final case class SketchSummary[T](entries: Vector[Entry[T]], minCount: Double,
   }
 
   /** Number of occupied bins. */
-  def size: Int = entries.size
+  def size: Int = counts.length
 }

@@ -167,7 +167,7 @@ class SketchSummarySpec extends AnyFunSuite {
       val e = intercept[IllegalArgumentException](q(dup()))
       assert(e.getMessage.contains("duplicate item 7"), e.getMessage)
     }
-    // The predicate scan reads the entries alone and builds no index.
+    // The predicate scan reads the columns alone and builds no index.
     assert(dup().subsetSum(_ == "a") == Estimate(1.5, 1.0))
   }
 
@@ -258,6 +258,63 @@ class SketchSummarySpec extends AnyFunSuite {
     assert(empty.subsetSumOf(Set("a", "b")) == Estimate(0.0, 0.0))
     assert(empty.subsetSumOf(Set.empty[String]) == Estimate(0.0, 0.0))
     assertIndexMatchesMap(empty, Seq("a", "", null))
+  }
+
+  /** Every query against a reference computed from `entries` alone: sums
+    * by an in-order fold, lookups by a linear search, rankings by a stable
+    * sort, compared by bits and by object identity.
+    */
+  private def assertColumnsMatchEntries(s: SketchSummary[String], queries: Seq[String]): Unit = {
+    def ref(pred: String => Boolean): Estimate = {
+      val (sum, hits) = s.entries.foldLeft((0.0, 0)) { case ((sum, hits), e) =>
+        if (pred(e.item)) (sum + e.count, hits + 1) else (sum, hits)
+      }
+      Estimate(sum, s.minCount * s.minCount * math.max(1, hits))
+    }
+    val preds: Seq[String => Boolean] = Seq(_ => true, _ => false, _.hashCode % 3 == 0, _.endsWith("7"))
+    preds.foreach(p => assert(bits(s.subsetSum(p)) == bits(ref(p)), s"subsetSum over ${s.entries}"))
+    queries.grouped(3).map(_.toSet).foreach { set =>
+      assert(bits(s.subsetSumOf(set)) == bits(ref(set.contains)), s"subsetSumOf($set) over ${s.entries}")
+    }
+    queries.foreach { x =>
+      val hit = s.entries.find(_.item == x)
+      assert(bits(s.estimate(x)) == bits(hit.fold(0.0)(_.count)), s"estimate($x) over ${s.entries}")
+      assert(s.contains(x) == hit.isDefined, s"contains($x)")
+    }
+    def same(got: Vector[Entry[String]], want: Vector[Entry[String]]) = got.corresponds(want)(_ eq _)
+    Seq(-1, 0, 1, 3, s.size, s.size + 2).foreach { k =>
+      assert(same(s.topK(k), s.entries.sortBy(-_.count).take(k)), s"topK($k) of ${s.entries}")
+    }
+    Seq(0.01, 0.1, 0.3, 0.5, 0.9).foreach { phi =>
+      assert(same(s.frequentItems(phi), s.entries.filter(_.count > phi * s.total).sortBy(-_.count)),
+             s"frequentItems($phi) of ${s.entries}")
+    }
+    assert(s.size == s.entries.size)
+  }
+
+  test("queries read from the columns equal a reference from the entries, on copied and deserialized summaries") {
+    val r = new java.util.SplittableRandom(31)
+    // Non-integer counts, whose sum depends on the order of addition, and
+    // the values a total order sorts apart from `<`.
+    val odd = Vector(0.0, -0.0, Double.NaN, Double.PositiveInfinity, 1.0, 1.0)
+    def bins(n: Int, withOdd: Boolean) = {
+      val ids = Array.range(0, 4 * n + 1)
+      (0 until n).foreach { i => val j = i + r.nextInt(ids.length - i); val t = ids(i); ids(i) = ids(j); ids(j) = t }
+      Vector.tabulate(n) { i =>
+        val c = if (withOdd && r.nextInt(3) == 0) odd(r.nextInt(odd.size)) else 0.1 + 10 * r.nextDouble()
+        Entry(s"k${ids(i)}", c)
+      }
+    }
+    (0 until 150).foreach { trial =>
+      val n = r.nextInt(40)
+      val withOdd = trial % 3 == 0
+      val base = SketchSummary(bins(n, withOdd), minCount = r.nextDouble(), total = 1 + 50 * r.nextDouble(), m = 64)
+      // Query first, so the copies are made from a summary whose index exists.
+      assert(!base.contains("absent"))
+      val queries = (-2 until 4 * n + 3).map("k" + _) :+ "absent"
+      Seq(base, base.copy(entries = bins(r.nextInt(40), withOdd)), base.copy(total = 2 * base.total + 1),
+          roundTrip(base)).foreach(assertColumnsMatchEntries(_, queries))
+    }
   }
 
   test("a Java-serialized summary and HT sample answer with the original bits") {
