@@ -30,34 +30,38 @@ final case class HtEntry[T](item: T, weight: Double, adjusted: Double)
   */
 object Merge {
 
-  /** Exact bin combination: per-label count sums and the summed total weight. */
-  def combine[T](sketches: Seq[SketchSummary[T]]): (mutable.HashMap[T, Double], Double) = {
-    val acc = mutable.HashMap.empty[T, Double]
+  /** Exact bin combination: the distinct labels of the inputs and their
+    * summed counts, as two columns in the iteration order of a hash map
+    * that received the labels in input order, and the summed total weight.
+    */
+  private[core] def combine[T](sketches: Seq[SketchSummary[T]]): (Array[Any], Array[Double], Double) = {
+    // One cell per label, added to in place. A cell starts at -0.0, which
+    // adds to any count to give that count's own bits.
+    val acc = mutable.HashMap.empty[Any, Sum]
     var total = 0.0
     sketches.foreach { s =>
       total += s.total
-      s.entries.foreach { e =>
-        acc.updateWith(e.item) { case Some(c) => Some(c + e.count); case None => Some(e.count) }
-      }
+      s.counts.indices.foreach(b => acc.getOrElseUpdate(s.items(b), new Sum).c += s.counts(b))
     }
-    (acc, total)
+    val items = new Array[Any](acc.size)
+    val counts = new Array[Double](acc.size)
+    var j = 0
+    acc.foreachEntry { (i, sum) => items(j) = i; counts(j) = sum.c; j += 1 }
+    (items, counts, total)
   }
+
+  private final class Sum { var c = -0.0 }
 
   /** Unbiased, total-preserving merge via repeated two-smallest-bin PPS
     * collapse. Returns a live sketch that can keep ingesting rows.
     */
   def pairwiseUnbiased[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
-    val (acc, total) = combine(sketches)
+    val (items, counts, total) = combine(sketches)
     val rng = Rng(seed)
     // Min-heap of (count bits, tie-break) keys over ids into `items`; the
-    // ties are drawn in `acc`'s iteration order.
-    val items = new Array[Any](acc.size)
-    val heap = new KeyHeap(acc.size)
-    acc.foreach { case (i, c) =>
-      val id = heap.size
-      items(id) = i
-      heap.push(KeyHeap.bits(c), rng.nextLong(), id)
-    }
+    // ties are drawn in `combine`'s order.
+    val heap = new KeyHeap(items.length)
+    counts.indices.foreach(id => heap.push(KeyHeap.bits(counts(id)), rng.nextLong(), id))
     while (heap.size > m) {
       val c1 = KeyHeap.count(heap.key(0)); val i1 = heap.id(0)
       heap.pop()
@@ -80,9 +84,9 @@ object Merge {
     * sketch's seed is the next draw of the same generator.
     */
   def prioritySampled[T](m: Int, seed: Long, sketches: Seq[SketchSummary[T]]): UnbiasedSpaceSaving[T] = {
-    val (acc, total) = combine(sketches)
+    val (items, counts, total) = combine(sketches)
     val rng = Rng(seed)
-    val (kept, _) = priorityReduction(acc, m, rng)
+    val (kept, _) = priorityReduction(items.indices.map(b => (items(b).asInstanceOf[T], counts(b))), m, rng)
     UnbiasedSpaceSaving.fromEntries(m, rng.nextLong(), kept.map(e => Entry(e.item, e.adjusted)), total)
   }
 
@@ -114,9 +118,10 @@ object Merge {
     * (m+1)-th largest so at most m nonzero counters remain (§5.5).
     */
   def misraGries[T](m: Int, sketches: Seq[SketchSummary[T]]): SketchSummary[T] = {
-    val (acc, total) = combine(sketches)
-    val theta = if (acc.size <= m) 0.0 else acc.valuesIterator.toArray.sortBy(-_).apply(m)
-    SketchSummary(softThreshold(acc.iterator.map { case (i, c) => Entry(i, c) }, theta), 0.0, total, m)
+    val (items, counts, total) = combine(sketches)
+    val theta = if (counts.length <= m) 0.0 else counts.sortBy(-_).apply(m)
+    val bins = items.indices.iterator.map(b => Entry(items(b).asInstanceOf[T], counts(b)))
+    SketchSummary(softThreshold(bins, theta), 0.0, total, m)
   }
 
   /** The Misra-Gries soft threshold (c − θ)₊ of every bin, dropping the bins

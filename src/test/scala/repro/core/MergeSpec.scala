@@ -12,12 +12,38 @@ class MergeSpec extends AnyFunSuite {
     s.summary
   }
 
+  /** `Merge.combine`'s columns as a map, and its total. */
+  private def combineMap[T](sketches: Seq[SketchSummary[T]]): (Map[T, Double], Double) = {
+    val (items, counts, total) = Merge.combine(sketches)
+    (items.iterator.map(_.asInstanceOf[T]).zip(counts).toMap, total)
+  }
+
   test("combine unions labels and sums counts and totals") {
     val a = SketchSummary(Vector(Entry("x", 3.0), Entry("y", 2.0)), 0.0, 5.0, 4)
     val b = SketchSummary(Vector(Entry("y", 4.0), Entry("z", 1.0)), 0.0, 5.0, 4)
-    val (acc, total) = Merge.combine(Seq(a, b))
+    val (acc, total) = combineMap(Seq(a, b))
     assert(total == 10.0)
     assert(acc("x") == 3.0 && acc("y") == 6.0 && acc("z") == 1.0)
+  }
+
+  test("combine keeps the labels, order and count bits of a map updated entry by entry") {
+    val r = new java.util.SplittableRandom(41)
+    (0 until 500).foreach { trial =>
+      val sketches = Seq.fill(1 + r.nextInt(4)) {
+        val n = r.nextInt(60)
+        val keys = Seq.fill(n)(r.nextInt(3 * n + 1)).distinct
+        SketchSummary(keys.map(k => Entry[Any](if (trial % 2 == 0) k else s"k$k", 0.1 + 9 * r.nextDouble())).toVector,
+          0.0, 1.0, n)
+      }
+      val ref = scala.collection.mutable.HashMap.empty[Any, Double]
+      sketches.foreach(_.entries.foreach { e =>
+        ref.updateWith(e.item) { case Some(c) => Some(c + e.count); case None => Some(e.count) }
+      })
+      val (items, counts, total) = Merge.combine(sketches)
+      assert(items.toSeq == ref.keys.toSeq && total == sketches.size.toDouble)
+      assert(counts.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+             ref.values.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    }
   }
 
   test("all merges are lossless when the union fits in m bins") {
@@ -50,7 +76,7 @@ class MergeSpec extends AnyFunSuite {
     // Fixed input summaries; randomness only in the merge reduction.
     val a = SketchSummary((1 to 12).map(i => Entry(i, i.toDouble)).toVector, 1.0, 78.0, 12)
     val b = SketchSummary((7 to 18).map(i => Entry(i, 2.0)).toVector, 2.0, 24.0, 12)
-    val combined = Merge.combine(Seq(a, b))._1.toMap
+    val combined = combineMap(Seq(a, b))._1
     val reps = 4000
     val ests = (0 until reps).map { r =>
       val mgd = Merge.pairwiseUnbiased(12, seed = 1000 + r, Seq(a, b)).summary
@@ -64,7 +90,7 @@ class MergeSpec extends AnyFunSuite {
   test("priority-sampled merge is unbiased per item given the inputs (Monte Carlo)") {
     val a = SketchSummary((1 to 12).map(i => Entry(i, i.toDouble)).toVector, 1.0, 78.0, 12)
     val b = SketchSummary((7 to 18).map(i => Entry(i, 2.0)).toVector, 2.0, 24.0, 12)
-    val combined = Merge.combine(Seq(a, b))._1.toMap
+    val combined = combineMap(Seq(a, b))._1
     val reps = 4000
     val ests = (0 until reps).map { r =>
       val mgd = Merge.prioritySampled(12, seed = 5000 + r, Seq(a, b)).summary
@@ -78,7 +104,7 @@ class MergeSpec extends AnyFunSuite {
   test("priority-sampled merge preserves the expected total (Monte Carlo)") {
     val a = SketchSummary((1 to 20).map(i => Entry(i, i.toDouble)).toVector, 1.0, 210.0, 20)
     val b = SketchSummary((15 to 34).map(i => Entry(i, 3.0)).toVector, 3.0, 60.0, 20)
-    val trueCombined = Merge.combine(Seq(a, b))._1.values.sum
+    val trueCombined = combineMap(Seq(a, b))._1.values.sum
     val reps = 3000
     val totals = (0 until reps).map { r =>
       Merge.prioritySampled(20, seed = 7000 + r, Seq(a, b)).summary.entries.map(_.count).sum
@@ -99,7 +125,7 @@ class MergeSpec extends AnyFunSuite {
   test("misra-gries merge is a downward-biased soft threshold") {
     val a = SketchSummary((1 to 10).map(i => Entry(i, i.toDouble)).toVector, 1.0, 55.0, 10)
     val b = SketchSummary((6 to 15).map(i => Entry(i, 2.0)).toVector, 2.0, 20.0, 10)
-    val combined = Merge.combine(Seq(a, b))._1.toMap
+    val combined = combineMap(Seq(a, b))._1
     val mg = Merge.misraGries(10, Seq(a, b))
     assert(mg.entries.size <= 10)
     mg.entries.foreach { e =>
